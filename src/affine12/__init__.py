@@ -29,6 +29,7 @@ from .errors import (
     DegenerateTriangleError,
     FileFormatError,
     IllConditionedWarning,
+    NonFiniteInputError,
     NotARotationError,
     NotOrientationPreservingError,
     NotPositiveDefiniteError,
@@ -86,6 +87,7 @@ __all__ = [
     "HomAffine3",
     "IllConditionedWarning",
     "Mat3",
+    "NonFiniteInputError",
     "NotARotationError",
     "NotOrientationPreservingError",
     "NotPositiveDefiniteError",

@@ -93,11 +93,6 @@ class PoseTrack:
             if not b > a:
                 raise ValueError(f"times must be strictly increasing, got {a} then {b}")
 
-    @classmethod
-    def from_transforms(cls, transforms: Sequence[HomAffine3],
-                        times: Sequence[float]) -> "PoseTrack":
-        return cls(tuple(transform_to_params(a) for a in transforms), tuple(times))
-
 
 def interpolate_pose(track: PoseTrack, t: float, curve: str = "hermite") -> HomAffine3:
     """Evaluate an interpolation curve through the track at time t.

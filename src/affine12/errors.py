@@ -45,6 +45,10 @@ class SolverNotConvergedError(Affine12Error):
         self.residual = residual
 
 
+class NonFiniteInputError(Affine12Error):
+    """Input holds a NaN or an infinity where a finite number is required."""
+
+
 class FileFormatError(Affine12Error):
     """Malformed input file; message carries a line/field diagnostic."""
 

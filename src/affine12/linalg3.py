@@ -85,10 +85,6 @@ def vec_scale(a: Vec3, s: float) -> Vec3:
     return Vec3(a.x * s, a.y * s, a.z * s)
 
 
-def vec_dot(a: Vec3, b: Vec3) -> float:
-    return a.x * b.x + a.y * b.y + a.z * b.z
-
-
 def vec_cross(a: Vec3, b: Vec3) -> Vec3:
     return Vec3(a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
 
@@ -161,10 +157,6 @@ def mat_add(a: Mat3, b: Mat3) -> Mat3:
     return Mat3(*(x + y for x, y in zip(a, b)))
 
 
-def mat_sub(a: Mat3, b: Mat3) -> Mat3:
-    return Mat3(*(x - y for x, y in zip(a, b)))
-
-
 def mat_scale(a: Mat3, s: float) -> Mat3:
     return Mat3(*(x * s for x in a))
 
@@ -222,10 +214,6 @@ def sym_from_mat3(a: Mat3) -> SymMat3:
     )
 
 
-def sym_add(a: SymMat3, b: SymMat3) -> SymMat3:
-    return SymMat3(*(x + y for x, y in zip(a, b)))
-
-
 def sym_scale(a: SymMat3, s: float) -> SymMat3:
     return SymMat3(*(x * s for x in a))
 
@@ -244,14 +232,6 @@ def sym_det(y: SymMat3) -> float:
     return (y.xx * (y.yy * y.zz - y.yz * y.yz)
             - y.xy * (y.xy * y.zz - y.yz * y.xz)
             + y.xz * (y.xy * y.yz - y.yy * y.xz))
-
-
-def sym_vec(y: SymMat3, v: Vec3) -> Vec3:
-    return Vec3(
-        y.xx * v.x + y.xy * v.y + y.xz * v.z,
-        y.xy * v.x + y.yy * v.y + y.yz * v.z,
-        y.xz * v.x + y.yz * v.y + y.zz * v.z,
-    )
 
 
 def sym_square(y: SymMat3) -> SymMat3:

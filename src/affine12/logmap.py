@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotARotationError, NotPositiveDefiniteError
-from .expmap import exp_sym3_with_eig, sinc_guarded
+from .expmap import _SINC_TAYLOR, exp_sym3_with_eig, sinc_guarded
 from .linalg3 import (
     AntiSymMat3,
     Mat3,
@@ -167,7 +167,7 @@ def log_so3(r: Mat3) -> AntiSymMat3:
     if math.pi - theta >= _NEAR_PI:
         # sinc evaluated from the measured sine, not sin(acos(.)), which
         # would lose relative accuracy as theta grows
-        inv_sinc = 1.0 / sinc_guarded(theta) if theta < 1e-4 else theta / sin_t
+        inv_sinc = 1.0 / sinc_guarded(theta) if theta < _SINC_TAYLOR else theta / sin_t
         return AntiSymMat3(h12 * inv_sinc, h13 * inv_sinc, h23 * inv_sinc)
     return _log_so3_near_pi(r, cos_t)
 

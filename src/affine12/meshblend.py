@@ -2,13 +2,21 @@
 
 Every face of each target mesh gets the unique affine map carrying its rest
 face (and rest unit normal) onto it. Those per-face maps are blended in
-parameter space face by face, which leaves them incoherent along shared
-edges; a sparse linear least squares over the deformed vertex positions
-(plus one auxiliary normal-tip point per face, which keeps the face frames
-linear in the unknowns) patches them into a single piecewise-linear
-deformation. The energy covers the full 3x4 block of each face transform,
-translation column included, so the normal equations are generically full
-rank and the solved mesh is anchored in space.
+parameter space, which leaves them incoherent along shared edges; a sparse
+linear least squares over the deformed vertex positions (plus one auxiliary
+normal-tip point per face, which keeps the face frames linear in the
+unknowns) patches them into a single piecewise-linear deformation. The
+energy covers the full 3x4 block of each face transform, translation
+column included, so the normal equations are generically full rank and
+the solved mesh is anchored in space.
+
+blend_shapes runs each stage over all faces at once: the face frames and
+their closed-form inverses as arrays, one batched pull-back of every
+target face map (affine12.batch), the weighted sum as one contraction, one
+batched forward map, a vectorised sparse assembly with the normal tips
+eliminated face by face, and a preconditioned conjugate gradient that
+solves the three coordinates together, all in NumPy. face_frame and
+per_face_affine are the single-face forms of the same maps.
 """
 
 from __future__ import annotations
@@ -16,15 +24,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
-from .blend import WeightedTransforms, blend
+from .batch import params_to_transforms, transforms_to_params
 from .errors import (
     DegenerateTriangleError,
     FileFormatError,
+    NonFiniteInputError,
     OrientationFlipWarning,
     SolverNotConvergedError,
 )
@@ -123,141 +132,214 @@ def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3],
 def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     """Blend the targets at the given weights into one consistent mesh.
 
-    Zero weights reproduce the rest mesh and a one-hot weight vector
+    Every face map of every target is pulled back to parameter space in one
+    batch, the weights combine them face by face, and the blends are mapped
+    forward in one batch. The patching least squares then finds the vertex
+    positions (and per-face normal tips) whose face maps match those blends
+    best. Zero weights reproduce the rest mesh and a one-hot weight vector
     reproduces that target (up to solver tolerance), because in both cases
-    the per-face blended transforms are already coherent and the least
-    squares is exactly consistent.
+    the blended face maps are already coherent and the least squares is
+    exactly consistent.
+
+    The normal tips are eliminated face by face, and the normal equations
+    left on the vertices are solved by conjugate gradients with a Jacobi
+    (diagonal) preconditioner, the three coordinates side by side and
+    warm-started from the rest positions. A coordinate stops once its
+    residual reaches ||r|| <= 1e-10 ||b||; one still above that after 20
+    iterations per unknown raises SolverNotConvergedError.
+
+    Raises NonFiniteInputError for a NaN or infinite vertex or weight, and
+    DegenerateTriangleError for a face below the minimum area; both name
+    the mesh (rest or target k) and the index.
     """
     if len(weights) != len(cset.targets):
         raise ValueError(f"{len(cset.targets)} targets but {len(weights)} weights")
-    rest = cset.rest
-    nf = len(rest.faces)
-    nv = len(rest.vertices)
-    weights = tuple(float(w) for w in weights)
+    w = np.array([float(x) for x in weights])
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise NonFiniteInputError(f"weight {bad[0]} is not finite ({float(w[bad[0]])!r})")
+    rest = _vertex_array(cset.rest, "rest mesh")
+    nv = len(rest)
+    targets = np.array([_vertex_array(t, f"target {k}") for k, t in enumerate(cset.targets)],
+                       dtype=float).reshape(len(cset.targets), nv, 3)
+    faces = _face_array(cset.rest.faces, nv)
+    nf = len(faces)
 
-    blended: list[HomAffine3] = []
-    for j in range(nf):
-        rest_tri = rest.face_points(j)
-        face_maps = tuple(per_face_affine(rest_tri, tgt.face_points(j))
-                          for tgt in cset.targets)
-        if face_maps:
-            blended.append(blend(WeightedTransforms(face_maps, weights)))
-        else:
-            blended.append(HomAffine3.identity())
+    frames_inv = _inverse(_face_frames(rest[None], faces, ["rest mesh"])[0])
+    names = [f"target {k}" for k in range(len(targets))]
+    linear = _face_frames(targets, faces, names) @ frames_inv
+    p0 = rest[faces[:, 0]]
+    translation = targets[:, faces[:, 0]] - (linear @ p0[:, :, None])[..., 0]
+    params = transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3))
+    blended = np.tensordot(w, params.reshape(len(w), nf, 12), axes=1)
 
-    a, rhs = _assemble(rest, blended)
-    x0 = _rest_configuration(rest)
-    gram_op = (a.T @ a).tocsr()
-    solved = np.empty((nv + nf, 3))
-    for axis in range(3):
-        b = a.T @ rhs[:, axis]
-        solved[:, axis] = _conjugate_gradient(gram_op, b, x0[:, axis])
-    vertices = [Vec3(float(solved[i, 0]), float(solved[i, 1]), float(solved[i, 2]))
-                for i in range(nv)]
-    return TriMesh(vertices, list(rest.faces))
+    coef, rhs = _face_residuals(rest, faces, frames_inv, *params_to_transforms(blended))
+    solved = _solve_vertices(coef, rhs, faces, rest)
+    return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
 
 
-def _rest_configuration(rest: TriMesh) -> np.ndarray:
-    nv = len(rest.vertices)
-    x0 = np.empty((nv + len(rest.faces), 3))
-    for i, v in enumerate(rest.vertices):
-        x0[i] = v
-    for j in range(len(rest.faces)):
-        p0 = rest.vertices[rest.faces[j][0]]
-        frame = face_frame(*rest.face_points(j))
-        x0[nv + j] = (p0.x + frame.a13, p0.y + frame.a23, p0.z + frame.a33)
-    return x0
+def _vertex_array(mesh: TriMesh, name: str) -> np.ndarray:
+    v = np.fromiter(chain.from_iterable(mesh.vertices), dtype=float,
+                    count=3 * len(mesh.vertices)).reshape(-1, 3)
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if bad.size:
+        raise NonFiniteInputError(f"{name} vertex {bad[0]} is not finite: {v[bad[0]].tolist()}")
+    return v
 
 
-def _assemble(rest: TriMesh, blended: list[HomAffine3]):
-    """Sparse residual matrix (shared by the three coordinates) and its RHS.
+def _face_array(faces: list[tuple[int, int, int]], nv: int) -> np.ndarray:
+    f = np.array(faces, dtype=np.intp).reshape(-1, 3)
+    bad = np.flatnonzero(((f < 0) | (f >= nv)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"face {bad[0]} {tuple(faces[bad[0]])} indexes outside the "
+                         f"{nv} rest vertices")
+    return f
 
-    Unknown layout: deformed vertices then one normal-tip point per face.
-    Each face contributes three rows matching the columns of its linear
-    part and one row for its translation.
+
+def _face_frames(vertices: np.ndarray, faces: np.ndarray, names: list[str]) -> np.ndarray:
+    """Frames [p1-p0, p2-p0, unit normal] of every face of a stack of meshes.
+
+    vertices is (n_meshes, nv, 3) and the result (n_meshes, nf, 3, 3);
+    names label the meshes in the DegenerateTriangleError a face below the
+    minimum area raises.
     """
-    nv = len(rest.vertices)
-    nf = len(rest.faces)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    rhs = np.zeros((4 * nf + _count_unreferenced(rest), 3))
-    row = 0
-    for j, (i0, i1, i2) in enumerate(rest.faces):
-        w = mat_inverse(face_frame(*rest.face_points(j)))
-        p0 = rest.vertices[i0]
-        target = blended[j]
-        lin = target.linear
-        cols_j = (i0, i1, i2, nv + j)
-        wcol = ((w.a11, w.a21, w.a31), (w.a12, w.a22, w.a32), (w.a13, w.a23, w.a33))
-        for c in range(3):
-            w0, w1, w2 = wcol[c]
-            rows.extend((row, row, row, row))
-            cols.extend(cols_j)
-            data.extend((-(w0 + w1 + w2), w0, w1, w2))
-            rhs[row] = ((lin.a11, lin.a12, lin.a13)[c],
-                        (lin.a21, lin.a22, lin.a23)[c],
-                        (lin.a31, lin.a32, lin.a33)[c])
-            row += 1
-        # translation row: q0 - M p0
-        wp0 = w.a11 * p0.x + w.a12 * p0.y + w.a13 * p0.z
-        wp1 = w.a21 * p0.x + w.a22 * p0.y + w.a23 * p0.z
-        wp2 = w.a31 * p0.x + w.a32 * p0.y + w.a33 * p0.z
-        rows.extend((row, row, row, row))
-        cols.extend(cols_j)
-        data.extend((1.0 + wp0 + wp1 + wp2, -wp0, -wp1, -wp2))
-        rhs[row] = target.translation
-        row += 1
-    # vertices outside every face have empty columns; pin them to rest
-    referenced = [False] * nv
-    for f in rest.faces:
-        for i in f:
-            referenced[i] = True
-    for i, used in enumerate(referenced):
-        if not used:
-            rows.append(row)
-            cols.append(i)
-            data.append(1.0)
-            rhs[row] = rest.vertices[i]
-            row += 1
-    a = sparse.coo_matrix((data, (rows, cols)), shape=(row, nv + nf)).tocsr()
-    return a, rhs
+    p = vertices[:, faces]
+    e1 = p[:, :, 1] - p[:, :, 0]
+    e2 = p[:, :, 2] - p[:, :, 0]
+    n = np.cross(e1, e2)
+    area = 0.5 * np.sqrt(np.einsum("mfi,mfi->mf", n, n))
+    bad = np.flatnonzero(area <= _MIN_AREA)
+    if bad.size:
+        k, j = divmod(int(bad[0]), len(faces))
+        raise DegenerateTriangleError(
+            f"{names[k]} face {j}: triangle area {area[k, j]:.3e} below {_MIN_AREA}")
+    return np.stack((e1, e2, n / (2.0 * area)[:, :, None]), axis=-1)
 
 
-def _count_unreferenced(rest: TriMesh) -> int:
-    used = set()
-    for f in rest.faces:
-        used.update(f)
-    return len(rest.vertices) - len(used)
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 3x3 matrices by the closed-form adjugate.
+
+    With columns a, b, c the rows of the inverse are b x c, c x a and
+    a x b over the determinant a . (b x c).
+    """
+    a, b, c = m[..., 0], m[..., 1], m[..., 2]
+    bc = np.cross(b, c)
+    det = np.einsum("...i,...i->...", a, bc)
+    return np.stack((bc, np.cross(c, a), np.cross(a, b)), axis=-2) / det[..., None, None]
 
 
-def _conjugate_gradient(gram_op, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """CG on the normal equations; cap 20 iterations per unknown."""
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    x = x0.copy()
-    r = b - gram_op @ x
-    p = r.copy()
-    rs = float(r @ r)
-    maxiter = 20 * b.size
-    for _ in range(maxiter):
-        if math.sqrt(rs) <= _CG_RTOL * bnorm:
-            return x
-        ap = gram_op @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
+def _face_residuals(rest: np.ndarray, faces: np.ndarray, frames_inv: np.ndarray,
+                    linear: np.ndarray, translation: np.ndarray):
+    """Residual blocks of the patching least squares, one per face.
+
+    Face j's unknowns are its deformed corners q0, q1, q2 and its normal
+    tip, and coef[j] @ [q0, q1, q2, tip] - rhs[j] stacks its four residual
+    rows: three compare the columns of the deformed frame
+    [q1-q0, q2-q0, tip-q0] times the inverse rest frame with those of the
+    blended linear part, one compares q0 - M p0 with the blended
+    translation. The energy sums their squares over faces and coordinates.
+    """
+    w_cols = np.swapaxes(frames_inv, 1, 2)
+    wp = (frames_inv @ rest[faces[:, 0], :, None])[..., 0]
+    coef = np.empty((len(faces), 4, 4))
+    coef[:, :3, 0] = -w_cols.sum(axis=2)
+    coef[:, :3, 1:] = w_cols
+    coef[:, 3, 0] = 1.0 + wp.sum(axis=1)
+    coef[:, 3, 1:] = -wp
+    rhs = np.concatenate((np.swapaxes(linear, 1, 2), translation[:, None]), axis=1)
+    return coef, rhs
+
+
+def _solve_vertices(coef: np.ndarray, rhs: np.ndarray, faces: np.ndarray,
+                    rest: np.ndarray) -> np.ndarray:
+    """Deformed vertex positions minimising the patching energy.
+
+    Each normal tip enters only its own face's rows, so its block of the
+    normal equations is a scalar and the tips drop out face by face (a
+    Schur complement), leaving one sparse system on the vertices that the
+    three coordinates share. Vertices no face references keep their rest
+    position.
+    """
+    nv = len(rest)
+    m = np.einsum("fri,frj->fij", coef, coef)
+    mb = np.einsum("fri,frk->fik", coef, rhs)
+    elim = m[:, :3, 3] / m[:, 3, 3, None]
+    reduced = m[:, :3, :3] - elim[:, :, None] * m[:, None, 3, :3]
+    b_faces = mb[:, :3] - elim[:, :, None] * mb[:, None, 3]
+    unused = np.flatnonzero(np.bincount(faces.ravel(), minlength=nv) == 0)
+    # COO entries keyed row * nv + col (an unused vertex gets a unit
+    # diagonal), summed into one entry per vertex pair
+    keys = np.concatenate((np.repeat(faces, 3, axis=1).ravel() * nv + np.tile(faces, 3).ravel(),
+                           unused * (nv + 1)))
+    pairs, slot = np.unique(keys, return_inverse=True)
+    vals = np.bincount(slot, weights=np.concatenate((reduced.ravel(), np.ones(len(unused)))))
+    rows, cols = np.divmod(pairs, nv)
+    b = np.zeros((nv, 3))
+    np.add.at(b, faces, b_faces)
+    b[unused] = rest[unused]
+    on_diag = rows == cols
+    diag = np.zeros(nv)
+    diag[rows[on_diag]] = vals[on_diag]
+    return _block_pcg(_coordinate_matmul(rows, cols, vals, nv), diag, b, rest)
+
+
+def _coordinate_matmul(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """x -> A @ x on (n, 3) arrays, for the n x n matrix with entries (rows, cols, vals).
+
+    The three columns of x are interleaved in its flat form, so one gather
+    and one bincount apply A to all of them.
+    """
+    rows3 = (3 * rows[:, None] + np.arange(3)).ravel()
+    cols3 = (3 * cols[:, None] + np.arange(3)).ravel()
+    vals3 = np.repeat(vals, 3)
+
+    def matmul(x: np.ndarray) -> np.ndarray:
+        return np.bincount(rows3, weights=vals3 * x.ravel()[cols3],
+                           minlength=3 * n).reshape(n, 3)
+
+    return matmul
+
+
+def _block_pcg(matmul, diag: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned CG on normal equations with one column per coordinate.
+
+    matmul applies the symmetric positive definite matrix, whose diagonal
+    is diag, to an (n, 3) array. The columns share each product, but every
+    column keeps its own step lengths and stops on its own once ||r|| <=
+    1e-10 ||b||; a zero right-hand side gives the zero column. A column
+    still above tolerance after 20 iterations per unknown, or whose search
+    direction loses positive curvature, raises SolverNotConvergedError.
+    """
+    bb = np.vecdot(b, b, axis=0)
+    tol2 = _CG_RTOL * _CG_RTOL * bb
+    x = np.where(tol2 > 0.0, x0, 0.0)
+    d_inv = (1.0 / np.where(diag > 0.0, diag, 1.0))[:, None]
+    r = b - matmul(x)
+    z = d_inv * r
+    p = z
+    rz = np.vecdot(r, z, axis=0)
+    rr = np.vecdot(r, r, axis=0)
+    active = rr > tol2
+    for _ in range(20 * len(b)):
+        if not active.any():
             break
-        alpha = rs / pap
+        ap = matmul(p)
+        pap = np.vecdot(p, ap, axis=0)
+        active &= pap > 0.0
+        alpha = np.divide(rz, pap, out=np.zeros(3), where=active)
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if math.sqrt(rs) <= _CG_RTOL * bnorm:
-        return x
-    raise SolverNotConvergedError("mesh patching least squares stalled",
-                                  math.sqrt(rs) / bnorm)
+        z = d_inv * r
+        rz_new = np.vecdot(r, z, axis=0)
+        rr = np.vecdot(r, r, axis=0)
+        active &= rr > tol2
+        p = z + np.divide(rz_new, rz, out=np.zeros(3), where=active) * p
+        rz = rz_new
+    if not np.all(rr <= tol2):
+        residual = np.sqrt(rr / np.where(bb > 0.0, bb, 1.0))
+        raise SolverNotConvergedError("mesh patching least squares stalled",
+                                      float(np.max(residual)))
+    return x
 
 
 # -- Wavefront OBJ (triangles only) ------------------------------------------

@@ -20,7 +20,6 @@ from .linalg3 import (
     mat_mul,
     mat_scale,
     sym_from_mat3,
-    sym_to_mat3,
 )
 
 
@@ -136,21 +135,6 @@ def reconstruct(values, vectors: Mat3) -> SymMat3:
     return sym_from_mat3(full)
 
 
-def sym_exp_oracle(y: SymMat3) -> SymMat3:
-    """Diagonalisation-based exponential of a symmetric matrix."""
-    return matfun_diag(y, "exp")
-
-
-def sym_log_oracle(s: SymMat3) -> SymMat3:
-    """Diagonalisation-based logarithm of an SPD matrix."""
-    return matfun_diag(s, "log")
-
-
 def exp_antisym_series(x) -> Mat3:
     """Series exponential of a packed antisymmetric generator."""
     return exp_series(Mat3(0.0, x.m12, x.m13, -x.m12, 0.0, x.m23, -x.m13, -x.m23, 0.0))
-
-
-def exp_sym_series(y: SymMat3) -> SymMat3:
-    """Series exponential of a packed symmetric matrix."""
-    return sym_from_mat3(exp_series(sym_to_mat3(y)))

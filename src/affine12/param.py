@@ -28,6 +28,7 @@ from .linalg3 import (
     SymEig3,
     SymMat3,
     Vec3,
+    _MIN_NORMAL,
     gram,
     mat_det,
     mat_mul_sym,
@@ -38,6 +39,8 @@ from .linalg3 import (
 from .logmap import consistent_log_so3, inv_sqrt_from_log, log_so3, log_spd_half_gram
 
 _ILL_CONDITIONED_DET = 1e-6
+# relative gap below which a Gram eigenvalue counts as a near-multiple root
+_NEWTON_SKIP = 1e-8
 
 
 class AffineParam12(NamedTuple):
@@ -133,7 +136,7 @@ def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
     c0 = det_linear * det_linear
     if l3 <= 0.0:
         # absolute roundoff pushed a positive eigenvalue below zero
-        l3 = c0 / max(l1 * l2, 2.2250738585072014e-308)
+        l3 = c0 / max(l1 * l2, _MIN_NORMAL)
     lams = [l1, l2, l3]
     scale2 = max(1.0, l1 * l1)
     for i in range(3):
@@ -142,7 +145,7 @@ def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
         for j in range(3):
             if j != i:
                 dp *= lam - lams[j]
-        if abs(dp) < 1e-8 * scale2:
+        if abs(dp) < _NEWTON_SKIP * scale2:
             continue  # near-multiple root: Newton is ill-posed and unneeded
         p = ((lam - c2) * lam + c1) * lam - c0
         lams[i] = lam - p / dp

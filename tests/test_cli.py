@@ -5,7 +5,7 @@ import pytest
 
 from affine12.cli import main
 from affine12.linalg3 import Vec3, gram
-from affine12.meshblend import load_obj, save_obj
+from affine12.meshblend import TriMesh, load_obj, save_obj
 from affine12.param import HomAffine3
 from conftest import axis_angle_rotation, vec_dist
 
@@ -160,6 +160,32 @@ class TestMeshblendCommand:
         save_obj(str(bad_path), grid_mesh(3, 2))
         assert main(["meshblend", str(rest_path), str(bad_path),
                      "--weights", "1"]) == 2
+
+    def test_degenerate_target_face_exit_2_names_it(self, tmp_path, capsys):
+        from test_meshblend import grid_mesh
+
+        rest = grid_mesh(2, 2)
+        flat = TriMesh([Vec3(v.x, 0.0, 0.0) for v in rest.vertices], list(rest.faces))
+        rest_path = tmp_path / "rest.obj"
+        flat_path = tmp_path / "flat.obj"
+        save_obj(str(rest_path), rest)
+        save_obj(str(flat_path), flat)
+        assert main(["meshblend", str(rest_path), str(flat_path), "--weights", "1"]) == 2
+        assert "target 0 face 0" in capsys.readouterr().err
+
+    def test_solver_stall_exit_3(self, tmp_path, monkeypatch):
+        import affine12.meshblend
+        from test_meshblend import grid_mesh, warp_mesh
+
+        # a zero tolerance is out of reach, so the solve runs to its cap
+        monkeypatch.setattr(affine12.meshblend, "_CG_RTOL", 0.0)
+        rest = grid_mesh(3, 3)
+        rest_path = tmp_path / "rest.obj"
+        target_path = tmp_path / "target.obj"
+        save_obj(str(rest_path), rest)
+        save_obj(str(target_path), warp_mesh(rest))
+        assert main(["meshblend", str(rest_path), str(target_path),
+                     "--weights", "0.5"]) == 3
 
 
 class TestBenchCommand:

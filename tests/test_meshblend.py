@@ -1,18 +1,26 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from affine12.blend import WeightedTransforms, blend
 from affine12.errors import (
+    Affine12Error,
     DegenerateTriangleError,
     FileFormatError,
+    NonFiniteInputError,
     OrientationFlipWarning,
+    SolverNotConvergedError,
 )
 from affine12.linalg3 import (
     MAT3_IDENTITY,
     Vec3,
     gram,
+    mat_inverse,
     mat_vec,
     sym_to_mat3,
     vec_add,
@@ -20,10 +28,11 @@ from affine12.linalg3 import (
 from affine12.meshblend import (
     CompatibleSet,
     TriMesh,
-    _assemble,
-    _conjugate_gradient,
-    _rest_configuration,
+    _block_pcg,
+    _face_residuals,
+    _solve_vertices,
     blend_shapes,
+    face_frame,
     load_obj,
     per_face_affine,
     save_obj,
@@ -57,6 +66,44 @@ def warp_mesh(mesh: TriMesh) -> TriMesh:
         out.append(Vec3(c * v.x - s * v.y, s * v.x + c * v.y,
                         v.z + 0.2 * math.sin(v.x + v.y)))
     return TriMesh(out, list(mesh.faces))
+
+
+def twist_mesh(mesh: TriMesh) -> TriMesh:
+    """A second compatible target: twist about the x-axis plus a bulge."""
+    out = []
+    for v in mesh.vertices:
+        ang = 0.6 * v.x
+        c, s = math.cos(ang), math.sin(ang)
+        out.append(Vec3(1.1 * v.x, c * v.y - s * v.z, s * v.y + c * v.z + 0.1 * v.x * v.y))
+    return TriMesh(out, list(mesh.faces))
+
+
+def reference_blend(rest: TriMesh, targets, weights) -> np.ndarray:
+    """Blended vertices by scalar face maps and a dense least squares."""
+    nv, nf = len(rest.vertices), len(rest.faces)
+    blended = [blend(WeightedTransforms(
+        tuple(per_face_affine(rest.face_points(j), t.face_points(j)) for t in targets),
+        tuple(weights))) for j in range(nf)]
+    frames_inv = [np.linalg.inv(np.array(face_frame(*rest.face_points(j))).reshape(3, 3))
+                  for j in range(nf)]
+
+    def face_maps(x):
+        # one coordinate row of every face map [M | t] of the configuration
+        # x (vertices, then one normal tip per face)
+        rows = []
+        for j, (i0, i1, i2) in enumerate(rest.faces):
+            frame_row = np.array([x[i1] - x[i0], x[i2] - x[i0], x[nv + j] - x[i0]])
+            m_row = frame_row @ frames_inv[j]
+            rows.extend([*m_row, x[i0] - m_row @ np.array(rest.vertices[i0])])
+        return np.array(rows)
+
+    a = np.column_stack([face_maps(e) for e in np.eye(nv + nf)])
+    solved = np.empty((nv, 3))
+    for d in range(3):
+        b = np.array([v for bl in blended
+                      for v in (*bl.linear[3 * d:3 * d + 3], bl.translation[d])])
+        solved[:, d] = np.linalg.lstsq(a, b, rcond=None)[0][:nv]
+    return solved
 
 
 class TestPerFaceAffine:
@@ -169,28 +216,28 @@ class TestBlendShapes:
 
     def test_solution_is_least_squares_minimum(self):
         # perturbing any vertex coordinate of the solved configuration must
-        # not decrease the energy ||Ax - b||^2
+        # not decrease the patching energy
         rest = grid_mesh(3, 3)
         target = warp_mesh(rest)
-        cset = CompatibleSet(rest, [target])
-        weights = [0.37]
-
-        blended = []
-        for j in range(len(rest.faces)):
-            face_maps = (per_face_affine(rest.face_points(j), target.face_points(j)),)
-            from affine12.blend import WeightedTransforms, blend
-
-            blended.append(blend(WeightedTransforms(face_maps, tuple(weights))))
-        a, rhs = _assemble(rest, blended)
-        gram_op = (a.T @ a).tocsr()
-        x0 = _rest_configuration(rest)
-        solved = np.empty_like(x0)
-        for axis in range(3):
-            solved[:, axis] = _conjugate_gradient(gram_op, a.T @ rhs[:, axis],
-                                                  x0[:, axis])
+        nf = len(rest.faces)
+        blended = [blend(WeightedTransforms(
+            (per_face_affine(rest.face_points(j), target.face_points(j)),), (0.37,)))
+            for j in range(nf)]
+        frames_inv = np.array([mat_inverse(face_frame(*rest.face_points(j)))
+                               for j in range(nf)]).reshape(nf, 3, 3)
+        faces = np.array(rest.faces)
+        coef, rhs = _face_residuals(np.array(rest.vertices), faces, frames_inv,
+                                    np.array([b.linear for b in blended]).reshape(nf, 3, 3),
+                                    np.array([b.translation for b in blended]))
+        solved = _solve_vertices(coef, rhs, faces, np.array(rest.vertices))
+        # each normal tip at its own optimum for the solved vertices
+        tip_col = coef[:, :, 3]
+        tips = np.einsum("fr,frk->fk", tip_col, rhs - coef[:, :, :3] @ solved[faces]) / (
+            np.einsum("fr,fr->f", tip_col, tip_col)[:, None])
 
         def energy(x):
-            return sum(float(np.sum((a @ x[:, k] - rhs[:, k]) ** 2)) for k in range(3))
+            unknowns = np.concatenate((x[faces], tips[:, None]), axis=1)
+            return float(np.sum((coef @ unknowns - rhs) ** 2))
 
         base = energy(solved)
         nv = len(rest.vertices)
@@ -202,6 +249,78 @@ class TestBlendShapes:
                 x = solved.copy()
                 x[i, axis] += delta
                 assert energy(x) >= base - 1e-15
+
+    def test_matches_direct_least_squares_reference(self):
+        # reference: scalar face maps and blends, the patching residual built
+        # from its definition (the face map of the deformed frame against
+        # the blended map), solved densely
+        rest = grid_mesh(4, 3)
+        targets = [warp_mesh(rest), twist_mesh(rest)]
+        for weights in ((0.3, 0.5), (1.3, -0.4)):
+            got = np.array(blend_shapes(CompatibleSet(rest, targets), weights).vertices)
+            assert np.abs(got - reference_blend(rest, targets, weights)).max() <= 1e-9
+
+    @pytest.mark.parametrize("mesh", ["rest mesh", "target 1"])
+    def test_non_finite_vertex_names_mesh_and_index(self, mesh):
+        rest = grid_mesh(2, 2)
+        meshes = [rest, warp_mesh(rest), twist_mesh(rest)]
+        k = 0 if mesh == "rest mesh" else 2
+        vertices = list(meshes[k].vertices)
+        vertices[4] = Vec3(0.5, math.inf if k else math.nan, 0.0)
+        meshes[k] = TriMesh(vertices, list(rest.faces))
+        with pytest.raises(NonFiniteInputError, match=f"{mesh} vertex 4 "):
+            blend_shapes(CompatibleSet(meshes[0], meshes[1:]), [0.5, 0.5])
+        assert issubclass(NonFiniteInputError, Affine12Error)
+
+    def test_non_finite_weight_is_named(self):
+        rest = grid_mesh(2, 2)
+        cset = CompatibleSet(rest, [warp_mesh(rest), twist_mesh(rest)])
+        with pytest.raises(NonFiniteInputError, match="weight 1"):
+            blend_shapes(cset, [0.5, math.nan])
+
+    @pytest.mark.parametrize("mesh", ["rest mesh", "target 0"])
+    def test_degenerate_face_names_mesh_and_index(self, mesh):
+        # a separate triangle appended as face 8 collapses onto a line
+        rest = grid_mesh(2, 2)
+        extra = [Vec3(3.0, 0.0, 0.0), Vec3(4.0, 0.0, 0.0), Vec3(3.0, 1.0, 0.0)]
+        flat = [extra[0], extra[1], Vec3(5.0, 0.0, 0.0)]
+        faces = list(rest.faces) + [(9, 10, 11)]
+        good = TriMesh(list(rest.vertices) + extra, faces)
+        bad = TriMesh(list(rest.vertices) + flat, faces)
+        cset = CompatibleSet(bad, [good]) if mesh == "rest mesh" else CompatibleSet(good, [bad])
+        with pytest.raises(DegenerateTriangleError, match=f"{mesh} face 8:"):
+            blend_shapes(cset, [0.5])
+
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_face_index_outside_the_vertices_is_rejected(self, index):
+        rest = grid_mesh(2, 2)
+        bad = TriMesh(list(rest.vertices), list(rest.faces) + [(0, 1, index)])
+        with pytest.raises(ValueError, match="face 8"):
+            blend_shapes(CompatibleSet(bad, []), [])
+
+    def test_no_targets_reproduce_rest(self):
+        rest = warp_mesh(grid_mesh(3, 3))
+        out = blend_shapes(CompatibleSet(rest, []), [])
+        for got, want in zip(out.vertices, rest.vertices):
+            assert vec_dist(got, want) <= 1e-12
+
+    def test_solver_stall_raises_typed_error(self):
+        # a matrix without positive curvature stops every column at once
+        b = np.ones((4, 3))
+        with pytest.raises(SolverNotConvergedError):
+            _block_pcg(lambda x: -x, np.ones(4), b, np.zeros((4, 3)))
+        assert np.allclose(_block_pcg(lambda x: 2.0 * x, np.full(4, 2.0), b,
+                                      np.zeros((4, 3))), 0.5)
+
+    def test_unreferenced_vertices_stay_at_rest(self):
+        rest = grid_mesh(2, 2)
+        loose = Vec3(7.0, 8.0, 9.0)
+        rest = TriMesh(list(rest.vertices) + [loose], list(rest.faces))
+        target = warp_mesh(rest)
+        out = blend_shapes(CompatibleSet(rest, [target]), [1.0])
+        assert out.vertices[-1] == loose
+        for got, want in zip(out.vertices[:-1], target.vertices[:-1]):
+            assert vec_dist(got, want) <= 1e-8
 
 
 class TestObjIO:
@@ -236,3 +355,16 @@ class TestObjIO:
             load_obj(str(path))
         assert fragment in str(err.value)
         assert "bad.obj:" in str(err.value)
+
+
+def test_import_loads_no_scipy_module():
+    # scipy.sparse alone adds ~20 MB of resident memory on import, and
+    # scipy.sparse.linalg or scipy.linalg several MB more; the patching
+    # solve runs on NumPy alone
+    code = "import sys, affine12; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
