@@ -8,14 +8,6 @@ blending ordinary vector arithmetic, with every transform class of the
 hierarchy closed under the operations.
 """
 
-from .bench import (
-    BenchReport,
-    random_affine,
-    roundtrip_error_stats,
-    sample_affines,
-    timing_run,
-    write_csv,
-)
 from .blend import (
     PoseTrack,
     WeightedTransforms,
@@ -38,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     SolverNotConvergedError,
 )
-from .expmap import exp_so3, exp_sym3, sinc_guarded, vandermonde_coeffs
+from .expmap import exp_so3, exp_sym3
 from .linalg3 import (
     AntiSymMat3,
     Mat3,
@@ -79,7 +71,6 @@ __all__ = [
     "AffineParam12",
     "AntiSymMat3",
     "Affine12Error",
-    "BenchReport",
     "CompatibleSet",
     "DegenerateSpectrumError",
     "DegenerateTriangleError",
@@ -119,14 +110,7 @@ __all__ = [
     "per_face_affine",
     "polar_decompose",
     "project_to_class",
-    "random_affine",
-    "roundtrip_error_stats",
-    "sample_affines",
     "save_obj",
-    "sinc_guarded",
     "sym_eigenvalues",
-    "timing_run",
     "transform_to_params",
-    "vandermonde_coeffs",
-    "write_csv",
 ]

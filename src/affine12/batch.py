@@ -8,7 +8,9 @@ diagonal shortcut) becomes an ``np.where`` over the batch with the same
 threshold, imported from the scalar module that owns it; the branch not
 taken is evaluated on a guarded denominator so it computes nothing
 undefined. The branch-free arithmetic is the scalar code itself: the
-linalg3 formulas take arrays in place of floats.
+linalg3 formulas, the Rodrigues assembly of exp_so3, the orthogonality
+defect of log_so3 and the Newton orthonormalisation step take arrays in
+place of floats.
 
 Each row agrees with transform_to_params / params_to_transform to
 roundoff (the NumPy transcendentals may differ from libm by an ulp). The
@@ -29,7 +31,7 @@ from .errors import (
     NotOrientationPreservingError,
     NotPositiveDefiniteError,
 )
-from .expmap import _E2_TAYLOR, _EXP_ARG_MAX, _SINC_TAYLOR
+from .expmap import _E2_TAYLOR, _EXP_ARG_MAX, _SINC_TAYLOR, _rodrigues
 from .expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
 from .linalg3 import (
     _MIN_NORMAL,
@@ -41,10 +43,11 @@ from .linalg3 import (
     gram,
     mat_det,
     mat_mul_sym,
+    sym_char_coeffs,
     sym_poly2,
     sym_scale,
 )
-from .logmap import _AXIS_COMPONENT_EPS, _L2_TAYLOR, _NEAR_PI, _ROTATION_TOL
+from .logmap import _AXIS_COMPONENT_EPS, _L2_TAYLOR, _NEAR_PI, _ROTATION_TOL, _orth_defect2
 from .logmap import _SPREAD_TAYLOR as _LOG_SPREAD_TAYLOR
 from .param import _ILL_CONDITIONED_DET, _NEWTON_SKIP, _newton_orthonormalize
 
@@ -84,7 +87,7 @@ def transforms_to_params(linear, translation) -> np.ndarray:
         half_log = _log_spd_half_gram(g, eig)
         neg_eig = SymEig3(-0.5 * np.log(eig.l3), -0.5 * np.log(eig.l2), -0.5 * np.log(eig.l1))
         s_inv = _exp_sym3_with_eig(sym_scale(half_log, -1.0), neg_eig)
-        r = _newton_orthonormalize(mat_mul_sym(a, s_inv), steps=1)
+        r = _newton_orthonormalize(mat_mul_sym(a, s_inv))
         x = _log_so3(r)
     return np.column_stack((translation, *x, *half_log))
 
@@ -156,9 +159,7 @@ def _sym_eigenvalues(y: SymMat3) -> SymEig3:
 def _refined_gram_eig(g: SymMat3, det_linear: np.ndarray) -> SymEig3:
     """param._refined_gram_eig over a batch."""
     l1, l2, l3 = _sym_eigenvalues(g)
-    c2 = g.xx + g.yy + g.zz
-    c1 = (g.xx * g.yy + g.yy * g.zz + g.zz * g.xx
-          - g.xy * g.xy - g.xz * g.xz - g.yz * g.yz)
+    c2, c1 = sym_char_coeffs(g)
     c0 = det_linear * det_linear
     lams = [l1, l2, np.where(l3 <= 0.0, c0 / np.maximum(l1 * l2, _MIN_NORMAL), l3)]
     scale2 = np.maximum(1.0, l1 * l1)
@@ -250,27 +251,13 @@ def _exp_so3(x: AntiSymMat3) -> Mat3:
     """expmap.exp_so3 over a batch."""
     a, b, c = x
     theta = np.sqrt(a * a + b * b + c * c)
-    s = _sinc(theta)
     sh = _sinc(0.5 * theta)
-    h = 0.5 * sh * sh
-    q11 = -a * a - b * b
-    q12 = -b * c
-    q13 = a * c
-    q22 = -a * a - c * c
-    q23 = -a * b
-    q33 = -b * b - c * c
-    return Mat3(
-        1.0 + h * q11, s * a + h * q12, s * b + h * q13,
-        -s * a + h * q12, 1.0 + h * q22, s * c + h * q23,
-        -s * b + h * q13, -s * c + h * q23, 1.0 + h * q33,
-    )
+    return _rodrigues(a, b, c, _sinc(theta), 0.5 * sh * sh)
 
 
 def _log_so3(r: Mat3) -> AntiSymMat3:
     """logmap.log_so3 over a batch, both regimes evaluated and selected per row."""
-    g = gram(r)
-    resid2 = ((g.xx - 1.0) ** 2 + (g.yy - 1.0) ** 2 + (g.zz - 1.0) ** 2
-              + 2.0 * (g.xy * g.xy + g.xz * g.xz + g.yz * g.yz))
+    resid2 = _orth_defect2(r)
     i = _first(resid2 > _ROTATION_TOL * _ROTATION_TOL)
     if i is not None:
         raise NotARotationError(f"row {i}: ||R^T R - I||_F = {math.sqrt(resid2[i]):.3e} "

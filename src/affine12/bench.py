@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .expmap import exp_sym3
-from .linalg3 import Mat3, SymMat3, Vec3, gram, mat_det, sym_eigenvalues, sym_scale
+from .linalg3 import Mat3, SymMat3, Vec3, gram, mat_det, sym_eigenvalues, sym_norm2, sym_scale
 from .oracle import matfun_diag
 from .logmap import log_spd_half_gram
 from .param import (
@@ -27,7 +27,6 @@ from .param import (
 
 GENERATOR_NAME = "python-random-mt19937"
 DEFAULT_SEED = 987654321
-TIMING_KERNELS = ("exp_sym3", "log_spd", "exp_diag", "log_diag")
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,11 @@ def _draw_linear(rng: random.Random, det_floor: float) -> tuple[Mat3, Vec3, int]
             return m, Vec3(*vals[9:]), attempts
 
 
-def random_affine(det_floor: float, seed: int | None = None,
-                  rng: random.Random | None = None) -> HomAffine3:
+def random_affine(det_floor: float, seed: int | None = None) -> HomAffine3:
     """One random transform with det(linear) > det_floor; seeded, replayable."""
     if det_floor <= 0.0:
         raise ValueError(f"det_floor must be positive, got {det_floor}")
-    if rng is None:
-        rng = random.Random(seed)
-    linear, translation, _ = _draw_linear(rng, det_floor)
+    linear, translation, _ = _draw_linear(random.Random(seed), det_floor)
     return HomAffine3(linear, translation)
 
 
@@ -144,12 +140,10 @@ def _mean_time(fn, inputs, repeats: int) -> float:
 
 
 def _sq_frob_sym(a: SymMat3, b: SymMat3) -> float:
-    d = [x - y for x, y in zip(a, b)]
-    return (d[0] * d[0] + d[3] * d[3] + d[5] * d[5]
-            + 2.0 * (d[1] * d[1] + d[2] * d[2] + d[4] * d[4]))
+    return sym_norm2(SymMat3(*(x - y for x, y in zip(a, b))))
 
 
-def timing_run(n: int, kernels=TIMING_KERNELS, seed: int = DEFAULT_SEED,
+def timing_run(n: int, seed: int = DEFAULT_SEED,
                det_floor: float = 1e-3, repeats: int = 3) -> BenchReport:
     """Per-call timings and closed-form vs diagonalisation speed ratios.
 
@@ -160,39 +154,19 @@ def timing_run(n: int, kernels=TIMING_KERNELS, seed: int = DEFAULT_SEED,
     """
     if n < 1000:
         raise ValueError(f"timing needs n >= 1000, got {n}")
-    unknown = set(kernels) - set(_KERNELS)
-    if unknown:
-        raise ValueError(f"unknown kernels: {sorted(unknown)}")
     rng = random.Random(seed)
     sym_inputs = [random_sym(rng) for _ in range(n)]
     spd_inputs = [gram(_draw_linear(rng, det_floor)[0]) for _ in range(n)]
     pools = {"sym": sym_inputs, "spd": spd_inputs}
-
-    times: dict[str, float] = {}
-    for name in kernels:
-        fn, pool = _KERNELS[name]
-        times[name] = _mean_time(fn, pools[pool], repeats)
-
-    ratios: dict[str, float] = {}
-    for closed, diag in _RATIO_PAIRS:
-        if closed in times and diag in times:
-            ratios[closed] = times[diag] / times[closed]
-
-    errors: dict[str, float] = {}
-    if "exp_sym3" in times or "log_spd" in times:
-        worst = max(_sq_frob_sym(s, exp_sym3(_log_spd_full(s))) for s in spd_inputs)
-        for name in ("exp_sym3", "log_spd"):
-            if name in times:
-                errors[name] = worst
-    if "exp_diag" in times or "log_diag" in times:
-        worst = max(_sq_frob_sym(s, _exp_diag(_log_diag(s))) for s in spd_inputs)
-        for name in ("exp_diag", "log_diag"):
-            if name in times:
-                errors[name] = worst
-
+    times = {name: _mean_time(fn, pools[pool], repeats) for name, (fn, pool) in _KERNELS.items()}
+    ratios = {closed: times[diag] / times[closed] for closed, diag in _RATIO_PAIRS}
+    closed_err = max(_sq_frob_sym(s, exp_sym3(_log_spd_full(s))) for s in spd_inputs)
+    diag_err = max(_sq_frob_sym(s, _exp_diag(_log_diag(s))) for s in spd_inputs)
+    errors = {"exp_sym3": closed_err, "log_spd": closed_err,
+              "exp_diag": diag_err, "log_diag": diag_err}
     return BenchReport(
         sample_count=n,
-        max_sq_frobenius_error=max(errors.values(), default=0.0),
+        max_sq_frobenius_error=max(closed_err, diag_err),
         errors=errors,
         mean_seconds_per_call=times,
         speed_ratio=ratios,

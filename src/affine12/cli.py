@@ -15,6 +15,7 @@ determinant, degenerate triangle, ...), 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -117,7 +118,9 @@ def load_track(path: str) -> PoseTrack:
         entry = {k: v for k, v in item.items() if k != "time"}
         decoded = _decode_entry(path, where, entry)
         if isinstance(decoded, HomAffine3):
-            decoded = transform_to_params(decoded)
+            # chain each matrix knot to the previous knot's branch, so a
+            # track may wind past pi between knots
+            decoded = transform_to_params(decoded, ref=knots[-1] if knots else None)
         knots.append(decoded)
         times.append(float(t))
     try:
@@ -126,9 +129,11 @@ def load_track(path: str) -> PoseTrack:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def _as_params(entries) -> list[AffineParam12]:
-    return [e if isinstance(e, AffineParam12) else transform_to_params(e)
-            for e in entries]
+def _as_params(entries, refs=None) -> list[AffineParam12]:
+    """Parameter form of each entry; matrices take the branch nearest refs[i] if given."""
+    refs = refs or [None] * len(entries)
+    return [e if isinstance(e, AffineParam12) else transform_to_params(e, ref=r)
+            for e, r in zip(entries, refs)]
 
 
 def _as_transforms(entries) -> list[HomAffine3]:
@@ -136,14 +141,20 @@ def _as_transforms(entries) -> list[HomAffine3]:
             for e in entries]
 
 
-def _write_doc(doc, output: str | None) -> None:
-    if output is None or output == "-":
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The named file opened for writing, or stdout for None and "-"."""
+    if path is None or path == "-":
+        yield sys.stdout
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _write_doc(doc, output: str | None) -> None:
+    with _output(output) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _param_doc(params) -> dict:
@@ -154,7 +165,10 @@ def _matrix_doc(transforms) -> dict:
     return {"transforms": [{"matrix": list(a.to_rows())} for a in transforms]}
 
 
-def _load_refs(path: str, count: int) -> list[AffineParam12]:
+def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
+    """Reference points from a --consistent-with file, broadcast to count; None without one."""
+    if not path:
+        return None
     refs = _as_params(load_transforms(path))
     if len(refs) == 1:
         return refs * count
@@ -169,13 +183,8 @@ def _load_refs(path: str, count: int) -> list[AffineParam12]:
 
 def _cmd_param(args) -> int:
     entries = load_transforms(args.input)
-    if args.consistent_with:
-        refs = _load_refs(args.consistent_with, len(entries))
-        params = [e if isinstance(e, AffineParam12) else transform_to_params(e, ref=r)
-                  for e, r in zip(entries, refs)]
-    else:
-        params = _as_params(entries)
-    _write_doc(_param_doc(params), args.output)
+    refs = _load_refs(args.consistent_with, len(entries))
+    _write_doc(_param_doc(_as_params(entries, refs)), args.output)
     return 0
 
 
@@ -190,11 +199,7 @@ def _cmd_blend(args) -> int:
     if len(args.weights) != len(transforms):
         raise FileFormatError(
             f"{len(transforms)} transforms but {len(args.weights)} weights")
-    refs = None
-    if args.mode == "consistent":
-        if not args.consistent_with:
-            raise _UsageError("blend: --mode consistent requires --consistent-with")
-        refs = _load_refs(args.consistent_with, len(transforms))
+    refs = _load_refs(args.consistent_with, len(transforms))
     result = blend(WeightedTransforms(tuple(transforms), tuple(args.weights)), refs=refs)
     _write_doc(_matrix_doc([result]), args.output)
     return 0
@@ -223,11 +228,8 @@ def _cmd_meshblend(args) -> int:
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
     result = blend_shapes(cset, args.weights)
-    if args.output is None or args.output == "-":
-        write_obj(sys.stdout, result)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_obj(fh, result)
+    with _output(args.output) as fh:
+        write_obj(fh, result)
     return 0
 
 
@@ -238,13 +240,9 @@ def _cmd_bench(args) -> int:
                                              seed=args.seed))
     if args.kind in ("timing", "both"):
         reports.append(timing_run(args.n, seed=args.seed, det_floor=args.det_floor))
-    if args.output is None or args.output == "-":
+    with _output(args.output) as fh:
         for r in reports:
-            write_csv(r, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            for r in reports:
-                write_csv(r, fh)
+            write_csv(r, fh)
     return 0
 
 
@@ -279,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--weights", type=_weights, required=True,
                    help="comma-separated, one per transform; not normalised")
-    p.add_argument("--mode", choices=("principal", "consistent"), default="principal")
-    p.add_argument("--consistent-with", default=None, metavar="FILE")
+    p.add_argument("--consistent-with", default=None, metavar="FILE",
+                   help="parameter file of reference branches for rotation tracking")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_blend)
 

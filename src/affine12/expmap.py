@@ -56,10 +56,12 @@ def exp_so3(x: AntiSymMat3) -> Mat3:
     """
     a, b, c = x
     theta = math.sqrt(a * a + b * b + c * c)
-    s = sinc_guarded(theta)
-    half = 0.5 * theta
-    sh = sinc_guarded(half)
-    h = 0.5 * sh * sh
+    sh = sinc_guarded(0.5 * theta)
+    return _rodrigues(a, b, c, sinc_guarded(theta), 0.5 * sh * sh)
+
+
+def _rodrigues(a, b, c, s, h) -> Mat3:
+    """I + s*X + h*X^2 for the generator X = (a, b, c); array-safe."""
     # X^2 entries (symmetric)
     q11 = -a * a - b * b
     q12 = -b * c

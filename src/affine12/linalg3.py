@@ -67,7 +67,6 @@ class SymEig3(NamedTuple):
 VEC3_ZERO = Vec3(0.0, 0.0, 0.0)
 MAT3_IDENTITY = Mat3(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 SYM3_ZERO = SymMat3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-SYM3_IDENTITY = SymMat3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 ANTISYM3_ZERO = AntiSymMat3(0.0, 0.0, 0.0)
 
 
@@ -228,10 +227,11 @@ def sym_trace(y: SymMat3) -> float:
     return y.xx + y.yy + y.zz
 
 
-def sym_det(y: SymMat3) -> float:
-    return (y.xx * (y.yy * y.zz - y.yz * y.yz)
-            - y.xy * (y.xy * y.zz - y.yz * y.xz)
-            + y.xz * (y.xy * y.yz - y.yy * y.xz))
+def sym_char_coeffs(y: SymMat3) -> tuple[float, float]:
+    """(c2, c1) of det(x*I - Y) = x^3 - c2*x^2 + c1*x - det(Y); array-safe."""
+    return (y.xx + y.yy + y.zz,
+            y.xx * y.yy + y.yy * y.zz + y.zz * y.xx
+            - y.xy * y.xy - y.xz * y.xz - y.yz * y.yz)
 
 
 def sym_square(y: SymMat3) -> SymMat3:
@@ -327,11 +327,3 @@ def sym_eigenvalues(y: SymMat3) -> SymEig3:
         l2, l3 = l3, l2
     return SymEig3(l1, l2, l3)
 
-
-def char_poly(y: SymMat3, x: float) -> float:
-    """det(x*I - Y), for residual checks on computed eigenvalues."""
-    c2 = sym_trace(y)
-    c1 = (y.xx * y.yy + y.yy * y.zz + y.zz * y.xx
-          - y.xy * y.xy - y.xz * y.xz - y.yz * y.yz)
-    c0 = sym_det(y)
-    return ((x - c2) * x + c1) * x - c0

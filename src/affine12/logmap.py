@@ -123,7 +123,8 @@ def inv_sqrt_spd(g: SymMat3, eig: SymEig3) -> SymMat3:
     return inv_sqrt_from_log(log_spd_half_gram(g, eig), eig)
 
 
-def _check_rotation(r: Mat3) -> None:
+def _orth_defect2(r: Mat3) -> float:
+    """||R^T R - I||_F^2 with the Gram entries expanded inline; array-safe."""
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
     g11 = a11 * a11 + a21 * a21 + a31 * a31
     g12 = a11 * a12 + a21 * a22 + a31 * a32
@@ -131,8 +132,12 @@ def _check_rotation(r: Mat3) -> None:
     g22 = a12 * a12 + a22 * a22 + a32 * a32
     g23 = a12 * a13 + a22 * a23 + a32 * a33
     g33 = a13 * a13 + a23 * a23 + a33 * a33
-    resid2 = ((g11 - 1.0) ** 2 + (g22 - 1.0) ** 2 + (g33 - 1.0) ** 2
-              + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23))
+    return ((g11 - 1.0) ** 2 + (g22 - 1.0) ** 2 + (g33 - 1.0) ** 2
+            + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23))
+
+
+def _check_rotation(r: Mat3) -> None:
+    resid2 = _orth_defect2(r)
     if resid2 > _ROTATION_TOL * _ROTATION_TOL:
         raise NotARotationError(
             f"||R^T R - I||_F = {math.sqrt(resid2):.3e} exceeds {_ROTATION_TOL}")

@@ -126,15 +126,6 @@ def matfun_diag(y: SymMat3, fname: str) -> SymMat3:
     return sym_from_mat3(full)
 
 
-def reconstruct(values, vectors: Mat3) -> SymMat3:
-    """P diag(values) P^T, for verifying a decomposition."""
-    d = Mat3(values[0], 0.0, 0.0, 0.0, values[1], 0.0, 0.0, 0.0, values[2])
-    full = mat_mul(mat_mul(vectors, d), Mat3(vectors.a11, vectors.a21, vectors.a31,
-                                             vectors.a12, vectors.a22, vectors.a32,
-                                             vectors.a13, vectors.a23, vectors.a33))
-    return sym_from_mat3(full)
-
-
 def exp_antisym_series(x) -> Mat3:
     """Series exponential of a packed antisymmetric generator."""
     return exp_series(Mat3(0.0, x.m12, x.m13, -x.m12, 0.0, x.m23, -x.m13, -x.m23, 0.0))

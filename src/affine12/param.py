@@ -33,6 +33,7 @@ from .linalg3 import (
     mat_det,
     mat_mul_sym,
     mat_vec,
+    sym_char_coeffs,
     sym_eigenvalues,
     vec_add,
 )
@@ -130,9 +131,7 @@ def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
     rotation factor linear * G^(-1/2) then stays orthogonal to roundoff.
     """
     l1, l2, l3 = sym_eigenvalues(g)
-    c2 = g.xx + g.yy + g.zz
-    c1 = (g.xx * g.yy + g.yy * g.zz + g.zz * g.xx
-          - g.xy * g.xy - g.xz * g.xz - g.yz * g.yz)
+    c2, c1 = sym_char_coeffs(g)
     c0 = det_linear * det_linear
     if l3 <= 0.0:
         # absolute roundoff pushed a positive eigenvalue below zero
@@ -153,7 +152,38 @@ def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
     return SymEig3(lams[0], lams[1], lams[2])
 
 
-def _stretch_log_and_eig(linear: Mat3) -> tuple[SymMat3, SymEig3]:
+def _newton_orthonormalize(r: Mat3) -> Mat3:
+    """One step r <- (r + r^-T)/2 toward the nearest rotation; array-safe.
+
+    The step converges quadratically, and r^-T is the cofactor matrix over
+    the determinant.
+    """
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
+    det = (a11 * (a22 * a33 - a23 * a32)
+           - a12 * (a21 * a33 - a23 * a31)
+           + a13 * (a21 * a32 - a22 * a31))
+    h = 0.5 / det
+    return Mat3(
+        0.5 * a11 + (a22 * a33 - a23 * a32) * h,
+        0.5 * a12 + (a23 * a31 - a21 * a33) * h,
+        0.5 * a13 + (a21 * a32 - a22 * a31) * h,
+        0.5 * a21 + (a13 * a32 - a12 * a33) * h,
+        0.5 * a22 + (a11 * a33 - a13 * a31) * h,
+        0.5 * a23 + (a12 * a31 - a11 * a32) * h,
+        0.5 * a31 + (a12 * a23 - a13 * a22) * h,
+        0.5 * a32 + (a13 * a21 - a11 * a23) * h,
+        0.5 * a33 + (a11 * a22 - a12 * a21) * h,
+    )
+
+
+def _polar_split(linear: Mat3) -> tuple[SymMat3, SymEig3, Mat3]:
+    """Stretch half-log, refined Gram spectrum and rotation factor of linear.
+
+    The rotation factor linear * G^(-1/2) gets one Newton orthonormalisation
+    step: Gram rounding leaves it non-orthogonal at ~eps * cond(G), and the
+    rotation log amplifies that defect near half-turns. Warns with the
+    stacklevel of the public caller.
+    """
     det = mat_det(linear)
     if det <= 0.0:
         raise NotOrientationPreservingError(
@@ -166,35 +196,12 @@ def _stretch_log_and_eig(linear: Mat3) -> tuple[SymMat3, SymEig3]:
         )
     g = gram(linear)
     eig = _refined_gram_eig(g, det)
-    return log_spd_half_gram(g, eig), eig
+    half_log = log_spd_half_gram(g, eig)
+    r = mat_mul_sym(linear, inv_sqrt_from_log(half_log, eig))
+    return half_log, eig, _newton_orthonormalize(r)
 
 
-def _newton_orthonormalize(r: Mat3, steps: int = 2) -> Mat3:
-    # r <- (r + r^-T)/2 converges quadratically to the nearest rotation;
-    # r^-T is the cofactor matrix over the determinant
-    for _ in range(steps):
-        a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
-        det = (a11 * (a22 * a33 - a23 * a32)
-               - a12 * (a21 * a33 - a23 * a31)
-               + a13 * (a21 * a32 - a22 * a31))
-        h = 0.5 / det
-        r = Mat3(
-            0.5 * a11 + (a22 * a33 - a23 * a32) * h,
-            0.5 * a12 + (a23 * a31 - a21 * a33) * h,
-            0.5 * a13 + (a21 * a32 - a22 * a31) * h,
-            0.5 * a21 + (a13 * a32 - a12 * a33) * h,
-            0.5 * a22 + (a11 * a33 - a13 * a31) * h,
-            0.5 * a23 + (a12 * a31 - a11 * a32) * h,
-            0.5 * a31 + (a12 * a23 - a13 * a22) * h,
-            0.5 * a32 + (a13 * a21 - a11 * a23) * h,
-            0.5 * a33 + (a11 * a22 - a12 * a21) * h,
-        )
-    return r
-
-
-def transform_to_params(a: HomAffine3,
-                        ref: AffineParam12 | None = None,
-                        reorthonormalize: bool = False) -> AffineParam12:
+def transform_to_params(a: HomAffine3, ref: AffineParam12 | None = None) -> AffineParam12:
     """Invert the parametrisation: polar-split the linear part on the log side.
 
     The stretch log comes from the closed-form half-log of the Gram matrix;
@@ -203,19 +210,10 @@ def transform_to_params(a: HomAffine3,
     on the branch closest to the reference (see consistent_log_so3), which
     lets chained calls track turns past pi.
 
-    The rotation factor always gets one Newton orthonormalisation step:
-    Gram rounding leaves it non-orthogonal at ~eps * cond(G), and the
-    rotation log amplifies that defect near half-turns, so skipping the
-    step costs several digits on ill-conditioned inputs. `reorthonormalize`
-    adds two more steps for near-singular linear parts (det < 1e-3).
-
     Raises NotOrientationPreservingError for det <= 0 and warns
     IllConditionedWarning below det = 1e-6.
     """
-    half_log, eig = _stretch_log_and_eig(a.linear)
-    s_inv = inv_sqrt_from_log(half_log, eig)
-    r = mat_mul_sym(a.linear, s_inv)
-    r = _newton_orthonormalize(r, steps=3 if reorthonormalize else 1)
+    half_log, _, r = _polar_split(a.linear)
     if ref is None:
         x = log_so3(r)
     else:
@@ -225,13 +223,11 @@ def transform_to_params(a: HomAffine3,
 
 def polar_decompose(linear: Mat3) -> tuple[Mat3, SymMat3]:
     """Rotation/stretch factorisation linear = R * S through the log-side split."""
-    half_log, eig = _stretch_log_and_eig(linear)
+    half_log, eig, r = _polar_split(linear)
     stretch_eig = SymEig3(0.5 * math.log(eig.l1),
                           0.5 * math.log(eig.l2),
                           0.5 * math.log(eig.l3))
-    s = exp_sym3_with_eig(half_log, stretch_eig)
-    r = mat_mul_sym(linear, inv_sqrt_from_log(half_log, eig))
-    return _newton_orthonormalize(r, steps=1), s
+    return r, exp_sym3_with_eig(half_log, stretch_eig)
 
 
 def weighted_param_sum(params, weights) -> AffineParam12:

@@ -65,6 +65,15 @@ def conjugate_spectrum(q: Mat3, eigenvalues) -> SymMat3:
     return sym_from_mat3(mat_mul(mat_mul(q, d), mat_transpose(q)))
 
 
+def char_poly(y: SymMat3, x: float) -> float:
+    """det(x*I - Y), for residual checks on computed eigenvalues."""
+    c2 = y.xx + y.yy + y.zz
+    c1 = (y.xx * y.yy + y.yy * y.zz + y.zz * y.xx
+          - y.xy * y.xy - y.xz * y.xz - y.yz * y.yz)
+    c0 = mat_det(sym_to_mat3(y))
+    return ((x - c2) * x + c1) * x - c0
+
+
 def sym_with_spectrum(rng: random.Random, eigenvalues) -> SymMat3:
     """Random symmetric matrix with (approximately) the given spectrum."""
     return conjugate_spectrum(exp_so3(rand_antisym(rng, 2.0)), eigenvalues)

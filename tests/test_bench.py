@@ -96,5 +96,3 @@ class TestTimingRun:
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             timing_run(100)
-        with pytest.raises(ValueError):
-            timing_run(1000, kernels=("nope",))

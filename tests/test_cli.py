@@ -102,11 +102,19 @@ class TestBlendCommand:
         write_transforms(src, [{"matrix": IDENTITY_ROWS}])
         assert main(["blend", str(src), "--weights", "0.5,0.5"]) == 2
 
-    def test_consistent_mode_requires_refs(self, tmp_path, capsys):
+    def test_consistent_with_picks_reference_branch(self, tmp_path):
+        # the full turn's matrix pulled back on the -2*pi branch, halved,
+        # is a half turn; on the principal branch it would stay the identity
         src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        out = tmp_path / "out.json"
         write_transforms(src, [{"matrix": IDENTITY_ROWS}])
-        assert main(["blend", str(src), "--weights", "1",
-                     "--mode", "consistent"]) == 1
+        two_pi = 2.0 * math.pi
+        write_transforms(refs, [{"param": [0, 0, 0, -two_pi, 0, 0, 0, 0, 0, 0, 0, 0]}])
+        assert main(["blend", str(src), "--weights", "0.5",
+                     "--consistent-with", str(refs), "-o", str(out)]) == 0
+        got = read_doc(out)["transforms"][0]["matrix"]
+        assert abs(got[0] + 1.0) <= 1e-12
 
 
 class TestInterpCommand:
@@ -125,6 +133,19 @@ class TestInterpCommand:
             resid = math.sqrt((g.xx - 1) ** 2 + (g.yy - 1) ** 2 + (g.zz - 1) ** 2
                               + 2 * (g.xy ** 2 + g.xz ** 2 + g.yz ** 2))
             assert resid <= 1e-9
+
+    def test_matrix_knots_chain_branches(self, tmp_path):
+        # z-rotations by 0, 2 and 4 rad: each knot's log is taken nearest the
+        # previous one, so the track winds past pi instead of jumping back
+        track = tmp_path / "track.json"
+        out = tmp_path / "out.json"
+        knots = [{"time": float(k), "matrix": rotation_rows((0, 0, 1), 2.0 * k)}
+                 for k in range(3)]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "5", "--curve", "linear",
+                     "-o", str(out)]) == 0
+        m = read_doc(out)["transforms"][3]["matrix"]
+        assert abs(math.atan2(m[4], m[0]) - 3.0) <= 1e-9
 
     def test_unsorted_times_rejected(self, tmp_path, capsys):
         track = tmp_path / "track.json"

@@ -10,7 +10,6 @@ from affine12.linalg3 import (
     MAT3_IDENTITY,
     Mat3,
     SymMat3,
-    char_poly,
     frob_norm2,
     gram,
     mat_det,
@@ -21,7 +20,7 @@ from affine12.linalg3 import (
     sym_norm2,
     sym_trace,
 )
-from conftest import axis_angle_rotation, mat_dist, rand_sym, rand_unit_axis
+from conftest import axis_angle_rotation, char_poly, mat_dist, rand_sym, rand_unit_axis
 
 sym_entries = st.lists(st.floats(-10, 10, allow_nan=False), min_size=6, max_size=6)
 
