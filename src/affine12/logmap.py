@@ -230,14 +230,13 @@ def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
     reference vanishes): at theta = pi the rotation itself cannot prefer a
     sign, so the reference axis is trusted outright.
     """
-    _check_rotation(r)
-    cos_t = 0.5 * (r.a11 + r.a22 + r.a33 - 1.0)
-    if cos_t <= -1.0:
+    # log_so3 checks R once for both; its half-turn result is discarded
+    principal = log_so3(r)
+    if 0.5 * (r.a11 + r.a22 + r.a33 - 1.0) <= -1.0:
         ref_angle = antisym_angle(ref)
         if ref_angle > 0.0:
             return antisym_scale(ref, math.pi / ref_angle)
         return AntiSymMat3(math.pi, 0.0, 0.0)
-    principal = log_so3(r)
     theta = antisym_angle(principal)
     ref_angle = antisym_angle(ref)
     if theta > 1e-12:

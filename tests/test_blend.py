@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -6,11 +7,14 @@ import pytest
 from affine12.blend import (
     PoseTrack,
     WeightedTransforms,
+    _eval_bspline,
+    _eval_hermite,
+    _eval_linear,
     blend,
     deform_point,
     interpolate_pose,
 )
-from affine12.errors import OutOfRangeError
+from affine12.errors import NonFiniteInputError, OutOfRangeError
 from affine12.expmap import exp_so3
 from affine12.linalg3 import (
     MAT3_IDENTITY,
@@ -190,6 +194,126 @@ class TestInterpolatePose:
         for t, knot in ((0.0, a), (2.0, c)):
             out = interpolate_pose(track3, t, curve="bspline")
             assert transform_distance2(out, params_to_transform(knot)) <= 1e-18
+
+
+# Per-call reference evaluators: each one re-derives from the raw knot
+# vectors what PoseTrack now prepares once.
+
+def _ref_segment(times, t):
+    i = bisect.bisect_right(times, t) - 1
+    return min(max(i, 0), len(times) - 2)
+
+
+def _ref_linear(vectors, times, t):
+    i = _ref_segment(times, t)
+    s = (t - times[i]) / (times[i + 1] - times[i])
+    a, b = vectors[i], vectors[i + 1]
+    return [av + s * (bv - av) for av, bv in zip(a, b)]
+
+
+def _ref_tangent(vectors, times, i):
+    lo = max(i - 1, 0)
+    hi = min(i + 1, len(vectors) - 1)
+    dt = times[hi] - times[lo]
+    return [(b - a) / dt for a, b in zip(vectors[lo], vectors[hi])]
+
+
+def _ref_hermite(vectors, times, t):
+    i = _ref_segment(times, t)
+    dt = times[i + 1] - times[i]
+    s = (t - times[i]) / dt
+    p0, p1 = vectors[i], vectors[i + 1]
+    m0 = _ref_tangent(vectors, times, i)
+    m1 = _ref_tangent(vectors, times, i + 1)
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return [h00 * a + h10 * dt * ma + h01 * b + h11 * dt * mb
+            for a, ma, b, mb in zip(p0, m0, p1, m1)]
+
+
+def _ref_de_boor(vectors, times, t):
+    n = len(vectors)
+    degree = min(3, n - 1)
+    interior = n - degree - 1
+    knots = ([0.0] * (degree + 1)
+             + [j / (interior + 1) for j in range(1, interior + 1)]
+             + [1.0] * (degree + 1))
+    u = (t - times[0]) / (times[-1] - times[0])
+    k = degree
+    last = len(knots) - degree - 2
+    while k < last and u >= knots[k + 1]:
+        k += 1
+    pts = [list(vectors[k - degree + j]) for j in range(degree + 1)]
+    for r in range(1, degree + 1):
+        for j in range(degree, r - 1, -1):
+            lo = knots[k - degree + j]
+            hi = knots[k + 1 + j - r]
+            alpha = 0.0 if hi == lo else (u - lo) / (hi - lo)
+            pts[j] = [(1.0 - alpha) * a + alpha * b for a, b in zip(pts[j - 1], pts[j])]
+    return pts[degree]
+
+
+def _random_track(rng, n):
+    knots = tuple(AffineParam12.from_vector([rng.uniform(-2.0, 2.0) for _ in range(12)])
+                  for _ in range(n))
+    times = [rng.uniform(-1.0, 1.0)]
+    for _ in range(n - 1):
+        times.append(times[-1] + rng.uniform(0.05, 2.0))
+    return PoseTrack(knots, tuple(times))
+
+
+def _sample_times(rng, track):
+    t0, t1 = track.times[0], track.times[-1]
+    return list(track.times) + [rng.uniform(t0, t1) for _ in range(50)]
+
+
+def _bits(v):
+    return [float(x).hex() for x in v]
+
+
+class TestPreparedTrack:
+    @pytest.mark.parametrize("n", [2, 3, 4, 12])
+    def test_linear_and_hermite_match_per_call_evaluation(self, rng, n):
+        track = _random_track(rng, n)
+        vectors = [k.to_vector() for k in track.knots]
+        for t in _sample_times(rng, track):
+            assert _bits(_eval_linear(track, t)) == _bits(_ref_linear(vectors, track.times, t))
+            assert _bits(_eval_hermite(track, t)) == _bits(_ref_hermite(vectors, track.times, t))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 12])
+    def test_bspline_matches_de_boor(self, rng, n):
+        track = _random_track(rng, n)
+        vectors = [k.to_vector() for k in track.knots]
+        for t in _sample_times(rng, track):
+            got = _eval_bspline(track, t)
+            want = _ref_de_boor(vectors, track.times, t)
+            scale = max(abs(x) for x in want)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+        assert _eval_bspline(track, track.times[0]) == list(vectors[0])
+        assert _eval_bspline(track, track.times[-1]) == list(vectors[-1])
+
+    def test_equality_hash_and_repr_ignore_prepared_fields(self, rng):
+        a = _random_track(rng, 5)
+        b = PoseTrack(list(a.knots), [float(t) for t in a.times])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == f"PoseTrack(knots={a.knots!r}, times={a.times!r})"
+        assert a != PoseTrack(a.knots, tuple(t + 1.0 for t in a.times))
+
+    def test_non_finite_knot_rejected(self):
+        p = AffineParam12.zero()
+        bad = AffineParam12(Vec3(0.0, math.nan, 0.0), p.rotation, p.stretch)
+        with pytest.raises(NonFiniteInputError, match="knot 1 "):
+            PoseTrack((p, bad, p), (0.0, 1.0, 2.0))
+
+    def test_non_finite_time_rejected(self):
+        p = AffineParam12.zero()
+        with pytest.raises(NonFiniteInputError, match="time 1 "):
+            PoseTrack((p, p), (0.0, math.inf))
 
 
 class TestClassClosureSample:

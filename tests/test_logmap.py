@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from affine12 import logmap
 from affine12.errors import NotARotationError, NotPositiveDefiniteError
 from affine12.expmap import exp_so3, exp_sym3
 from affine12.linalg3 import (
@@ -196,6 +197,22 @@ class TestConsistentLog:
             dot = (out.m12 * ref.m12 + out.m13 * ref.m13 + out.m23 * ref.m23)
             signed = out_angle if dot >= 0.0 or out_angle == 0.0 else -out_angle
             assert min(abs(signed - ref_angle), abs(-signed - ref_angle)) <= math.pi + 1e-9
+
+    def test_checks_rotation_once(self, rng, monkeypatch):
+        calls = []
+        check = logmap._check_rotation
+        monkeypatch.setattr(logmap, "_check_rotation", lambda r: calls.append(r) or check(r))
+        half_turn = Mat3(-1.0, 0, 0, 0, -1.0, 0, 0, 0, 1.0)
+        rotations = [MAT3_IDENTITY, half_turn,
+                     axis_angle_rotation(rand_unit_axis(rng), math.pi - 1e-9),
+                     axis_angle_rotation(rand_unit_axis(rng), 2.0)]
+        ref = generator_for(rand_unit_axis(rng), 7.0)
+        for k, r in enumerate(rotations, start=1):
+            consistent_log_so3(r, ref)
+            assert len(calls) == k
+        with pytest.raises(NotARotationError):
+            consistent_log_so3(Mat3(2.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0), ref)
+        assert len(calls) == len(rotations) + 1
 
 
 class TestLogBranchContinuity:
