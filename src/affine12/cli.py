@@ -4,9 +4,15 @@ Transforms travel in JSON documents: {"transforms": [entry, ...]} where an
 entry is {"matrix": [12 reals]} (row-major 3x4, translation in the fourth
 column) or {"param": [12 reals]} (parameter order: translation, rotation
 log, stretch log). Tracks add a time per knot: {"knots": [{"time": t,
-"matrix"|"param": [...]}, ...]}. Meshes are Wavefront OBJ. Numbers are
-written as shortest round-trip decimals (up to 17 significant digits), so
-a convert/unconvert cycle is bit-faithful.
+"matrix"|"param": [...]}, ...]}. JSON booleans are not numbers here, and a
+number that does not fit a finite double is an error naming its entry.
+Meshes are Wavefront OBJ.
+
+Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
+newline, byte for byte, and are written with one write. Numbers are written
+as shortest round-trip decimals (up to 17 significant digits), so a
+convert/unconvert cycle is bit-faithful. Every result is checked finite
+before the output is opened: a failed command creates or truncates no file.
 
 Exit codes: 0 success, 1 usage, 2 domain error (bad file, non-positive
 determinant, degenerate triangle, ...), 3 solver failure.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -63,31 +70,38 @@ def _load_json(path: str):
         raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
 
-def _entry_values(path: str, where: str, entry) -> tuple[str, list[float]]:
+_NUMBER_TYPES = {int, float}   # exact types: JSON true/false load as bool
+
+
+def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float]]:
+    """Kind and floats of entry `field[i]`; the label is only built for an error."""
     if not isinstance(entry, dict) or len(entry) != 1:
         raise FileFormatError(
-            f"{path}: {where} must be an object with exactly one of 'matrix'/'param'")
+            f"{path}: {field}[{i}] must be an object with exactly one of 'matrix'/'param'")
     (kind, values), = entry.items()
     if kind not in ("matrix", "param"):
-        raise FileFormatError(f"{path}: {where} has unknown field {kind!r}")
+        raise FileFormatError(f"{path}: {field}[{i}] has unknown field {kind!r}")
     if (not isinstance(values, list) or len(values) != 12
-            or not all(isinstance(v, (int, float)) for v in values)):
-        raise FileFormatError(f"{path}: {where}.{kind} must be a list of 12 numbers")
-    values = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in values):
-        raise FileFormatError(f"{path}: {where}.{kind} contains a non-finite number")
+            or not _NUMBER_TYPES.issuperset(map(type, values))):
+        raise FileFormatError(f"{path}: {field}[{i}].{kind} must be a list of 12 numbers")
+    try:
+        values = list(map(float, values))
+    except OverflowError:   # an integer literal beyond the double range
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        raise FileFormatError(f"{path}: {field}[{i}].{kind} contains a non-finite number")
     return kind, values
 
 
-def _decode_entry(path: str, where: str, entry):
-    kind, values = _entry_values(path, where, entry)
+def _decode_entry(path: str, field: str, i: int, entry):
+    kind, values = _entry_values(path, field, i, entry)
     if kind == "param":
         return AffineParam12.from_vector(values)
     transform = HomAffine3.from_rows(values)
     det = mat_det(transform.linear)
     if det <= 0.0:
         raise FileFormatError(
-            f"{path}: {where}: linear part has non-positive determinant ({det!r})")
+            f"{path}: {field}[{i}]: linear part has non-positive determinant ({det!r})")
     return transform
 
 
@@ -99,7 +113,7 @@ def load_transforms(path: str) -> list:
     items = doc["transforms"]
     if not items:
         raise FileFormatError(f"{path}: 'transforms' list is empty")
-    return [_decode_entry(path, f"transforms[{i}]", e) for i, e in enumerate(items)]
+    return [_decode_entry(path, "transforms", i, e) for i, e in enumerate(items)]
 
 
 def load_track(path: str) -> PoseTrack:
@@ -109,14 +123,17 @@ def load_track(path: str) -> PoseTrack:
     knots = []
     times = []
     for i, item in enumerate(doc["knots"]):
-        where = f"knots[{i}]"
         if not isinstance(item, dict) or "time" not in item:
-            raise FileFormatError(f"{path}: {where} needs a 'time' field")
+            raise FileFormatError(f"{path}: knots[{i}] needs a 'time' field")
         t = item["time"]
-        if not isinstance(t, (int, float)) or not math.isfinite(float(t)):
-            raise FileFormatError(f"{path}: {where}.time must be a finite number")
+        try:
+            finite = type(t) in _NUMBER_TYPES and math.isfinite(t)
+        except OverflowError:   # an integer literal beyond the double range
+            finite = False
+        if not finite:
+            raise FileFormatError(f"{path}: knots[{i}].time must be a finite number")
         entry = {k: v for k, v in item.items() if k != "time"}
-        decoded = _decode_entry(path, where, entry)
+        decoded = _decode_entry(path, "knots", i, entry)
         if isinstance(decoded, HomAffine3):
             # chain each matrix knot to the previous knot's branch, so a
             # track may wind past pi between knots
@@ -151,18 +168,24 @@ def _output(path: str | None):
             yield fh
 
 
-def _write_doc(doc, output: str | None) -> None:
+def _write_transforms(kind: str, rows, output: str | None) -> None:
+    """Write {"transforms": [{kind: row}, ...]} in one write.
+
+    The text is that of json.dump(doc, fh, indent=2) and a newline, byte for
+    byte. Every row is checked finite before the output is opened, so a
+    result out of the double range fails the command and leaves no file.
+    """
+    for i, row in enumerate(rows):
+        if not all(map(math.isfinite, row)):
+            raise OverflowError(
+                f"transforms[{i}]: the {kind} result is not finite (out of the double range)")
+    head = '    {\n      "' + kind + '": [\n        '
+    text = ("{\n  \"transforms\": [\n"
+            + ",\n".join(head + ",\n        ".join(map(repr, row))
+                         + "\n      ]\n    }" for row in rows)
+            + "\n  ]\n}\n")
     with _output(output) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _param_doc(params) -> dict:
-    return {"transforms": [{"param": list(p.to_vector())} for p in params]}
-
-
-def _matrix_doc(transforms) -> dict:
-    return {"transforms": [{"matrix": list(a.to_rows())} for a in transforms]}
+        fh.write(text)
 
 
 def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
@@ -184,13 +207,14 @@ def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
 def _cmd_param(args) -> int:
     entries = load_transforms(args.input)
     refs = _load_refs(args.consistent_with, len(entries))
-    _write_doc(_param_doc(_as_params(entries, refs)), args.output)
+    _write_transforms("param", [p.to_vector() for p in _as_params(entries, refs)],
+                      args.output)
     return 0
 
 
 def _cmd_unparam(args) -> int:
     transforms = _as_transforms(load_transforms(args.input))
-    _write_doc(_matrix_doc(transforms), args.output)
+    _write_transforms("matrix", [a.to_rows() for a in transforms], args.output)
     return 0
 
 
@@ -201,7 +225,7 @@ def _cmd_blend(args) -> int:
             f"{len(transforms)} transforms but {len(args.weights)} weights")
     refs = _load_refs(args.consistent_with, len(transforms))
     result = blend(WeightedTransforms(tuple(transforms), tuple(args.weights)), refs=refs)
-    _write_doc(_matrix_doc([result]), args.output)
+    _write_transforms("matrix", [result.to_rows()], args.output)
     return 0
 
 
@@ -213,8 +237,8 @@ def _cmd_interp(args) -> int:
     out = []
     for i in range(args.samples):
         t = t0 + (t1 - t0) * i / (args.samples - 1)
-        out.append(interpolate_pose(track, t, curve=args.curve))
-    _write_doc(_matrix_doc(out), args.output)
+        out.append(interpolate_pose(track, t, curve=args.curve).to_rows())
+    _write_transforms("matrix", out, args.output)
     return 0
 
 
@@ -307,10 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

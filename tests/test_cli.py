@@ -1,12 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from affine12.cli import main
 from affine12.linalg3 import Vec3, gram
 from affine12.meshblend import TriMesh, load_obj, save_obj
-from affine12.param import HomAffine3
+from affine12.param import (
+    AffineParam12,
+    HomAffine3,
+    params_to_transform,
+    transform_to_params,
+)
 from conftest import axis_angle_rotation, vec_dist
 
 IDENTITY_ROWS = [1.0, 0.0, 0.0, 0.0,
@@ -20,6 +29,10 @@ def write_transforms(path, entries):
 
 def read_doc(path):
     return json.loads(path.read_text())
+
+
+# entries too large for the forward and inverse maps: results overflow to NaN
+HUGE_ROWS = [1e100, 2e100, 0, 0, 0, 1e100, 0, 0, 0, 0, 1e100, 7]
 
 
 def rotation_rows(axis, angle, translation=(0.0, 0.0, 0.0)):
@@ -86,6 +99,30 @@ class TestParamUnparam:
         src.write_text('{"transforms": [{"matrix": [1,0,0,0,0,1,0,0,0,0,1,NaN]}]}')
         assert main(["param", str(src)]) == 2
 
+    def test_booleans_are_not_numbers(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        rows = [v == 1.0 for v in IDENTITY_ROWS]   # true/false in place of 1/0
+        write_transforms(src, [{"matrix": rows}])
+        assert main(["param", str(src)]) == 2
+        assert "transforms[0].matrix must be a list of 12 numbers" in capsys.readouterr().err
+
+    def test_integer_beyond_double_range_names_entry(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        huge = "1" + "0" * 400
+        src.write_text('{"transforms": [{"matrix": [1,0,0,0,0,1,0,0,0,0,1,0]}, '
+                       '{"matrix": [' + huge + ',0,0,0,0,1,0,0,0,0,1,0]}]}')
+        assert main(["param", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: transforms[1].matrix contains a non-finite number" in err
+
+    def test_overflowing_result_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}, {"matrix": HUGE_ROWS}])
+        assert main(["param", str(src), "-o", str(out)]) == 2
+        assert "transforms[1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBlendCommand:
     def test_single_weight_reproduces(self, tmp_path):
@@ -96,6 +133,15 @@ class TestBlendCommand:
         assert main(["blend", str(src), "--weights", "1", "-o", str(out)]) == 0
         got = read_doc(out)["transforms"][0]["matrix"]
         assert all(abs(a - b) <= 1e-10 for a, b in zip(got, rows))
+
+    def test_overflowing_result_exits_2_and_keeps_output(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"matrix": HUGE_ROWS}])
+        out.write_text("earlier output\n")
+        assert main(["blend", str(src), "--weights", "1", "-o", str(out)]) == 2
+        assert "transforms[0]" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
 
     def test_weight_count_mismatch_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.json"
@@ -146,6 +192,14 @@ class TestInterpCommand:
                      "-o", str(out)]) == 0
         m = read_doc(out)["transforms"][3]["matrix"]
         assert abs(math.atan2(m[4], m[0]) - 3.0) <= 1e-9
+
+    def test_boolean_time_rejected(self, tmp_path, capsys):
+        track = tmp_path / "track.json"
+        knots = [{"time": 0.0, "matrix": IDENTITY_ROWS},
+                 {"time": True, "matrix": IDENTITY_ROWS}]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "5"]) == 2
+        assert "knots[1].time must be a finite number" in capsys.readouterr().err
 
     def test_unsorted_times_rejected(self, tmp_path, capsys):
         track = tmp_path / "track.json"
@@ -237,3 +291,88 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+# translations pass through both maps unchanged, so these values reach the output
+EDGE_TRANSLATIONS = [(-0.0, 5e-324, 1e308), (1e-07, 3, -2), (0, 1, 2.5)]
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestOutputDocument:
+    """Output is the json.dump(doc, fh, indent=2) text plus a newline, to a file or stdout."""
+
+    @staticmethod
+    def _outputs(tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert main(argv + ["-o", "-"]) == 0
+        dash = capsys.readouterr().out
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        return out.read_text(encoding="utf-8"), dash, bare
+
+    def test_param_document(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        entries = []
+        for k, (x, y, z) in enumerate(EDGE_TRANSLATIONS):
+            rows = rotation_rows((0.0, 0.0, 1.0), 0.7 * k)
+            rows[3], rows[7], rows[11] = x, y, z
+            entries.append({"matrix": rows})
+        entries.append({"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]})   # integer-valued
+        write_transforms(src, entries)
+        want = _json_text({"transforms": [
+            {"param": list(transform_to_params(
+                HomAffine3.from_rows([float(v) for v in e["matrix"]])).to_vector())}
+            for e in entries]})
+        assert "-0.0" in want and "5e-324" in want and "1e+308" in want and "1e-07" in want
+        assert self._outputs(tmp_path, capsys, ["param", str(src)]) == (want, want, want)
+
+    def test_matrix_document(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        entries = [{"param": [x, y, z, 0.3, -0.2, 0.1, 0.01, 0, 0, -0.02, 0, 0.03]}
+                   for x, y, z in EDGE_TRANSLATIONS]
+        entries.append({"param": [1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0]})   # integer-valued
+        write_transforms(src, entries)
+        want = _json_text({"transforms": [
+            {"matrix": list(params_to_transform(
+                AffineParam12.from_vector([float(v) for v in e["param"]])).to_rows())}
+            for e in entries]})
+        assert "-0.0" in want and "5e-324" in want and "1e+308" in want and "1e-07" in want
+        assert self._outputs(tmp_path, capsys, ["unparam", str(src)]) == (want, want, want)
+
+
+class TestParserReuse:
+    def test_commands_after_usage_error_and_help_match_fresh_runs(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")   # the same help layout in both runs
+        monkeypatch.chdir(tmp_path)
+        src = tmp_path / "in.json"
+        write_transforms(src, [{"matrix": rotation_rows((0.0, 0.0, 1.0), 2.4, (0.5, -1.0, 2.0))},
+                               {"matrix": rotation_rows((1.0, 0.0, 0.0), -1.1)}])
+        commands = [
+            ["blend", "in.json"],                          # usage: --weights missing
+            ["--help"],
+            ["param", "in.json", "-o", "param.json"],
+            ["blend", "in.json", "--weights", "0.5,0.5"],  # to stdout
+            ["param", "in.json"],
+        ]
+        shared = []
+        for argv in commands:
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = Path("param.json").read_text() if argv[-1] == "param.json" else None
+            shared.append((code, captured.out, captured.err, written))
+        assert [c for c, *_ in shared] == [1, 0, 0, 0, 0]
+
+        # each command alone, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        os.remove("param.json")
+        for argv, (code, out, err, written) in zip(commands, shared):
+            alone = subprocess.run([sys.executable, "-m", "affine12.cli", *argv],
+                                   env=env, capture_output=True, text=True)
+            assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err)
+            if written is not None:
+                assert Path("param.json").read_text() == written
