@@ -5,7 +5,8 @@ entry is {"matrix": [12 reals]} (row-major 3x4, translation in the fourth
 column) or {"param": [12 reals]} (parameter order: translation, rotation
 log, stretch log). Tracks add a time per knot: {"knots": [{"time": t,
 "matrix"|"param": [...]}, ...]}. JSON booleans are not numbers here, and a
-number that does not fit a finite double is an error naming its entry.
+number that does not fit a finite double is an error naming its entry, as
+is an entry the library cannot convert ("{path}: transforms[i]: ...").
 Meshes are Wavefront OBJ.
 
 Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
@@ -93,6 +94,15 @@ def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float
     return kind, values
 
 
+# domain errors: what the library raises for an input it cannot take (exit 2)
+_DOMAIN_ERRORS = (Affine12Error, OverflowError, ValueError)
+
+
+def _name_entry(exc: Exception, path: str, field: str, i: int) -> None:
+    """Prefix the message of exc, in place, with the entry `{path}: field[i]`."""
+    exc.args = (f"{path}: {field}[{i}]: {exc}",)
+
+
 def _decode_entry(path: str, field: str, i: int, entry):
     kind, values = _entry_values(path, field, i, entry)
     if kind == "param":
@@ -137,7 +147,11 @@ def load_track(path: str) -> PoseTrack:
         if isinstance(decoded, HomAffine3):
             # chain each matrix knot to the previous knot's branch, so a
             # track may wind past pi between knots
-            decoded = transform_to_params(decoded, ref=knots[-1] if knots else None)
+            try:
+                decoded = transform_to_params(decoded, ref=knots[-1] if knots else None)
+            except _DOMAIN_ERRORS as exc:
+                _name_entry(exc, path, "knots", i)
+                raise
         knots.append(decoded)
         times.append(float(t))
     try:
@@ -146,16 +160,28 @@ def load_track(path: str) -> PoseTrack:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def _as_params(entries, refs=None) -> list[AffineParam12]:
+def _as_params(path: str, entries, refs=None) -> list[AffineParam12]:
     """Parameter form of each entry; matrices take the branch nearest refs[i] if given."""
     refs = refs or [None] * len(entries)
-    return [e if isinstance(e, AffineParam12) else transform_to_params(e, ref=r)
-            for e, r in zip(entries, refs)]
+    out = []
+    try:
+        for e, r in zip(entries, refs):
+            out.append(e if isinstance(e, AffineParam12) else transform_to_params(e, ref=r))
+    except _DOMAIN_ERRORS as exc:
+        _name_entry(exc, path, "transforms", len(out))
+        raise
+    return out
 
 
-def _as_transforms(entries) -> list[HomAffine3]:
-    return [e if isinstance(e, HomAffine3) else params_to_transform(e)
-            for e in entries]
+def _as_transforms(path: str, entries) -> list[HomAffine3]:
+    out = []
+    try:
+        for e in entries:
+            out.append(e if isinstance(e, HomAffine3) else params_to_transform(e))
+    except _DOMAIN_ERRORS as exc:
+        _name_entry(exc, path, "transforms", len(out))
+        raise
+    return out
 
 
 @contextlib.contextmanager
@@ -192,7 +218,7 @@ def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
     """Reference points from a --consistent-with file, broadcast to count; None without one."""
     if not path:
         return None
-    refs = _as_params(load_transforms(path))
+    refs = _as_params(path, load_transforms(path))
     if len(refs) == 1:
         return refs * count
     if len(refs) != count:
@@ -207,19 +233,19 @@ def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
 def _cmd_param(args) -> int:
     entries = load_transforms(args.input)
     refs = _load_refs(args.consistent_with, len(entries))
-    _write_transforms("param", [p.to_vector() for p in _as_params(entries, refs)],
+    _write_transforms("param", [p.to_vector() for p in _as_params(args.input, entries, refs)],
                       args.output)
     return 0
 
 
 def _cmd_unparam(args) -> int:
-    transforms = _as_transforms(load_transforms(args.input))
+    transforms = _as_transforms(args.input, load_transforms(args.input))
     _write_transforms("matrix", [a.to_rows() for a in transforms], args.output)
     return 0
 
 
 def _cmd_blend(args) -> int:
-    transforms = _as_transforms(load_transforms(args.input))
+    transforms = _as_transforms(args.input, load_transforms(args.input))
     if len(args.weights) != len(transforms):
         raise FileFormatError(
             f"{len(transforms)} transforms but {len(args.weights)} weights")
@@ -230,9 +256,9 @@ def _cmd_blend(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    track = load_track(args.track)
     if args.samples < 2:
         raise _UsageError("interp: --samples must be at least 2")
+    track = load_track(args.track)
     t0, t1 = track.times[0], track.times[-1]
     out = []
     for i in range(args.samples):
@@ -353,7 +379,7 @@ def main(argv=None) -> int:
     except SolverNotConvergedError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (Affine12Error, OverflowError, ValueError) as exc:
+    except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

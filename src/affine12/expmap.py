@@ -19,6 +19,7 @@ from .linalg3 import (
     Mat3,
     SymEig3,
     SymMat3,
+    _new,
     sym_eigenvalues,
 )
 
@@ -69,11 +70,11 @@ def _rodrigues(a, b, c, s, h) -> Mat3:
     q22 = -a * a - c * c
     q23 = -a * b
     q33 = -b * b - c * c
-    return Mat3(
+    return _new(Mat3, (
         1.0 + h * q11, s * a + h * q12, s * b + h * q13,
         -s * a + h * q12, 1.0 + h * q22, s * c + h * q23,
         -s * b + h * q13, -s * c + h * q23, 1.0 + h * q33,
-    )
+    ))
 
 
 def _exp_coeffs(lp1: float, lp3: float) -> tuple[float, float]:
@@ -115,14 +116,14 @@ def exp_sym3_with_eig(y: SymMat3, eig: SymEig3) -> SymMat3:
     zz4 = z2 * z2 + z4 * z4 + z5 * z5
     zz5 = z2 * z3 + z4 * z5 + z5 * z6
     zz6 = z3 * z3 + z5 * z5 + z6 * z6
-    return SymMat3(
+    return _new(SymMat3, (
         s * (1.0 + b * z1 + c * zz1),
         s * (b * z2 + c * zz2),
         s * (b * z3 + c * zz3),
         s * (1.0 + b * z4 + c * zz4),
         s * (b * z5 + c * zz5),
         s * (1.0 + b * z6 + c * zz6),
-    )
+    ))
 
 
 def exp_sym3(y: SymMat3) -> SymMat3:

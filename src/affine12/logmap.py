@@ -22,6 +22,7 @@ from .linalg3 import (
     Mat3,
     SymEig3,
     SymMat3,
+    _new,
     antisym_angle,
     antisym_scale,
     mat_det,
@@ -94,14 +95,14 @@ def log_spd_half_gram(g: SymMat3, eig: SymEig3) -> SymMat3:
     zz4 = z2 * z2 + z4 * z4 + z5 * z5
     zz5 = z2 * z3 + z4 * z5 + z5 * z6
     zz6 = z3 * z3 + z5 * z5 + z6 * z6
-    return SymMat3(
+    return _new(SymMat3, (
         k + nac * z1 + hc * zz1,
         nac * z2 + hc * zz2,
         nac * z3 + hc * zz3,
         k + nac * z4 + hc * zz4,
         nac * z5 + hc * zz5,
         k + nac * z6 + hc * zz6,
-    )
+    ))
 
 
 def inv_sqrt_from_log(half_log: SymMat3, eig: SymEig3) -> SymMat3:
@@ -110,12 +111,10 @@ def inv_sqrt_from_log(half_log: SymMat3, eig: SymEig3) -> SymMat3:
     The eigenvalues of the negated half-log are -log(l_i)/2 with the order
     reversed, so no second eigensolve is needed.
     """
-    neg = SymMat3(-half_log.xx, -half_log.xy, -half_log.xz,
-                  -half_log.yy, -half_log.yz, -half_log.zz)
-    neg_eig = SymEig3(-0.5 * math.log(eig.l3),
-                      -0.5 * math.log(eig.l2),
-                      -0.5 * math.log(eig.l1))
-    return exp_sym3_with_eig(neg, neg_eig)
+    hxx, hxy, hxz, hyy, hyz, hzz = half_log
+    l1, l2, l3 = eig
+    return exp_sym3_with_eig((-hxx, -hxy, -hxz, -hyy, -hyz, -hzz),
+                             (-0.5 * math.log(l3), -0.5 * math.log(l2), -0.5 * math.log(l1)))
 
 
 def inv_sqrt_spd(g: SymMat3, eig: SymEig3) -> SymMat3:
@@ -132,7 +131,8 @@ def _orth_defect2(r: Mat3) -> float:
     g22 = a12 * a12 + a22 * a22 + a32 * a32
     g23 = a12 * a13 + a22 * a23 + a32 * a33
     g33 = a13 * a13 + a23 * a23 + a33 * a33
-    return ((g11 - 1.0) ** 2 + (g22 - 1.0) ** 2 + (g33 - 1.0) ** 2
+    d11, d22, d33 = g11 - 1.0, g22 - 1.0, g33 - 1.0
+    return (d11 * d11 + d22 * d22 + d33 * d33
             + 2.0 * (g12 * g12 + g13 * g13 + g23 * g23))
 
 
@@ -173,7 +173,7 @@ def log_so3(r: Mat3) -> AntiSymMat3:
         # sinc evaluated from the measured sine, not sin(acos(.)), which
         # would lose relative accuracy as theta grows
         inv_sinc = 1.0 / sinc_guarded(theta) if theta < _SINC_TAYLOR else theta / sin_t
-        return AntiSymMat3(h12 * inv_sinc, h13 * inv_sinc, h23 * inv_sinc)
+        return _new(AntiSymMat3, (h12 * inv_sinc, h13 * inv_sinc, h23 * inv_sinc))
     return _log_so3_near_pi(r, cos_t)
 
 

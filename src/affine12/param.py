@@ -29,6 +29,7 @@ from .linalg3 import (
     SymMat3,
     Vec3,
     _MIN_NORMAL,
+    _new,
     gram,
     mat_det,
     mat_mul_sym,
@@ -117,7 +118,7 @@ def params_to_transform(p: AffineParam12) -> HomAffine3:
     eig = sym_eigenvalues(y)
     stretch = exp_sym3_with_eig(y, eig)
     linear = mat_mul_sym(exp_so3(p.rotation), stretch)
-    return HomAffine3(linear, p.translation)
+    return _new(HomAffine3, (linear, p.translation))
 
 
 def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
@@ -129,6 +130,11 @@ def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
     constant term taken as det(linear)^2 (computed from O(1) entries, so
     relatively accurate even when tiny), restores relative accuracy; the
     rotation factor linear * G^(-1/2) then stays orthogonal to roundoff.
+
+    The roots are refined in order l1, l2, l3, each against the roots
+    already refined. A root whose derivative p'(l) is below the skip
+    threshold is a near-multiple root, where Newton is ill-posed and
+    unneeded, and is kept; a NaN derivative is not skipped.
     """
     l1, l2, l3 = sym_eigenvalues(g)
     c2, c1 = sym_char_coeffs(g)
@@ -136,20 +142,20 @@ def _refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
     if l3 <= 0.0:
         # absolute roundoff pushed a positive eigenvalue below zero
         l3 = c0 / max(l1 * l2, _MIN_NORMAL)
-    lams = [l1, l2, l3]
-    scale2 = max(1.0, l1 * l1)
-    for i in range(3):
-        lam = lams[i]
-        dp = 1.0
-        for j in range(3):
-            if j != i:
-                dp *= lam - lams[j]
-        if abs(dp) < _NEWTON_SKIP * scale2:
-            continue  # near-multiple root: Newton is ill-posed and unneeded
-        p = ((lam - c2) * lam + c1) * lam - c0
-        lams[i] = lam - p / dp
-    lams.sort(reverse=True)
-    return SymEig3(lams[0], lams[1], lams[2])
+    skip = _NEWTON_SKIP * max(1.0, l1 * l1)
+    dp = (l1 - l2) * (l1 - l3)
+    if not abs(dp) < skip:
+        l1 -= (((l1 - c2) * l1 + c1) * l1 - c0) / dp
+    dp = (l2 - l1) * (l2 - l3)
+    if not abs(dp) < skip:
+        l2 -= (((l2 - c2) * l2 + c1) * l2 - c0) / dp
+    dp = (l3 - l1) * (l3 - l2)
+    if not abs(dp) < skip:
+        l3 -= (((l3 - c2) * l3 + c1) * l3 - c0) / dp
+    if l1 >= l2 >= l3:
+        return _new(SymEig3, (l1, l2, l3))
+    # a step reordered the roots, or one is NaN: the list sort's order
+    return _new(SymEig3, sorted((l1, l2, l3), reverse=True))
 
 
 def _newton_orthonormalize(r: Mat3) -> Mat3:
@@ -163,7 +169,7 @@ def _newton_orthonormalize(r: Mat3) -> Mat3:
            - a12 * (a21 * a33 - a23 * a31)
            + a13 * (a21 * a32 - a22 * a31))
     h = 0.5 / det
-    return Mat3(
+    return _new(Mat3, (
         0.5 * a11 + (a22 * a33 - a23 * a32) * h,
         0.5 * a12 + (a23 * a31 - a21 * a33) * h,
         0.5 * a13 + (a21 * a32 - a22 * a31) * h,
@@ -173,7 +179,7 @@ def _newton_orthonormalize(r: Mat3) -> Mat3:
         0.5 * a31 + (a12 * a23 - a13 * a22) * h,
         0.5 * a32 + (a13 * a21 - a11 * a23) * h,
         0.5 * a33 + (a11 * a22 - a12 * a21) * h,
-    )
+    ))
 
 
 def _polar_split(linear: Mat3) -> tuple[SymMat3, SymEig3, Mat3]:
@@ -218,7 +224,7 @@ def transform_to_params(a: HomAffine3, ref: AffineParam12 | None = None) -> Affi
         x = log_so3(r)
     else:
         x = consistent_log_so3(r, ref.rotation)
-    return AffineParam12(a.translation, x, half_log)
+    return _new(AffineParam12, (a.translation, x, half_log))
 
 
 def polar_decompose(linear: Mat3) -> tuple[Mat3, SymMat3]:

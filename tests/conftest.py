@@ -13,10 +13,27 @@ from affine12.linalg3 import (
     Vec3,
     mat_det,
     mat_mul,
-    mat_transpose,
     sym_from_mat3,
-    sym_to_mat3,
 )
+
+
+# -- matrix packing, used only by the tests -----------------------------------
+
+def sym_to_mat3(y: SymMat3) -> Mat3:
+    return Mat3(y.xx, y.xy, y.xz, y.xy, y.yy, y.yz, y.xz, y.yz, y.zz)
+
+
+def antisym_to_mat3(x: AntiSymMat3) -> Mat3:
+    return Mat3(0.0, x.m12, x.m13, -x.m12, 0.0, x.m23, -x.m13, -x.m23, 0.0)
+
+
+def mat_transpose(a: Mat3) -> Mat3:
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = a
+    return Mat3(a11, a21, a31, a12, a22, a32, a13, a23, a33)
+
+
+def sym_trace(y: SymMat3) -> float:
+    return y.xx + y.yy + y.zz
 
 
 def rand_sym(rng: random.Random, scale: float = 1.0) -> SymMat3:

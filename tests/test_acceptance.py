@@ -22,7 +22,6 @@ from affine12.linalg3 import (
     mat_det,
     sym_eigenvalues,
     sym_scale,
-    sym_to_mat3,
 )
 from affine12.logmap import log_so3, log_spd_half_gram
 from affine12.oracle import exp_antisym_series, jacobi_eig, matfun_diag
@@ -46,6 +45,7 @@ from conftest import (
     rand_unit_axis,
     sym_dist,
     sym_norm,
+    sym_to_mat3,
 )
 from test_meshblend import grid_mesh, warp_mesh
 

@@ -23,7 +23,6 @@ from affine12.linalg3 import (
     Vec3,
     gram,
     mat_det,
-    sym_to_mat3,
 )
 from affine12.param import (
     AffineParam12,
@@ -40,6 +39,7 @@ from conftest import (
     mat_dist,
     rand_linear,
     rand_unit_axis,
+    sym_to_mat3,
     vec_dist,
 )
 

@@ -35,6 +35,13 @@ def read_doc(path):
 HUGE_ROWS = [1e100, 2e100, 0, 0, 0, 1e100, 0, 0, 0, 0, 1e100, 7]
 
 
+# a stretch log beyond the exponent range: the forward map raises OverflowError
+BIG_STRETCH_PARAM = [0, 0, 0, 0, 0, 0, 800, 0, 0, 0, 0, 0]
+# condition number 1e12: the Gram route leaves no orthogonal rotation factor,
+# so the inverse map raises NotARotationError
+ILL_CONDITIONED_ROWS = [1e6, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-6, 0]
+
+
 def rotation_rows(axis, angle, translation=(0.0, 0.0, 0.0)):
     r = axis_angle_rotation(axis, angle)
     t = translation
@@ -124,6 +131,29 @@ class TestParamUnparam:
         assert not out.exists()
 
 
+    def test_unparam_library_error_names_the_entry(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        write_transforms(src, [{"param": [0.0] * 12}, {"param": BIG_STRETCH_PARAM}])
+        assert main(["unparam", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[1]: exp of leading eigenvalue 800.0 "
+            "is not representable\n")
+
+    def test_consistent_with_library_error_names_the_entry(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}, {"matrix": ILL_CONDITIONED_ROWS}])
+        write_transforms(refs, [{"param": [0.0] * 12}])
+        assert main(["param", str(src), "--consistent-with", str(refs),
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {src}: transforms[1]: ||R^T R - I||_F")
+        assert not out.exists()
+        # a reference file is named when its own entry cannot be converted
+        assert main(["param", str(refs), "--consistent-with", str(src)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {src}: transforms[1]: ")
+
+
 class TestBlendCommand:
     def test_single_weight_reproduces(self, tmp_path):
         src = tmp_path / "in.json"
@@ -200,6 +230,20 @@ class TestInterpCommand:
         track.write_text(json.dumps({"knots": knots}))
         assert main(["interp", str(track), "--samples", "5"]) == 2
         assert "knots[1].time must be a finite number" in capsys.readouterr().err
+
+    def test_library_error_names_the_knot(self, tmp_path, capsys):
+        track = tmp_path / "track.json"
+        knots = [{"time": 0.0, "matrix": IDENTITY_ROWS},
+                 {"time": 1.0, "matrix": ILL_CONDITIONED_ROWS}]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "5"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {track}: knots[1]: ")
+
+    def test_samples_checked_before_the_track_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "nothere.json"
+        assert main(["interp", str(missing), "--samples", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: interp: --samples must be at least 2\n")
 
     def test_unsorted_times_rejected(self, tmp_path, capsys):
         track = tmp_path / "track.json"

@@ -15,12 +15,18 @@ from affine12.linalg3 import (
     mat_det,
     mat_inverse,
     mat_mul,
-    mat_transpose,
     sym_eigenvalues,
     sym_norm2,
+)
+from conftest import (
+    axis_angle_rotation,
+    char_poly,
+    mat_dist,
+    mat_transpose,
+    rand_sym,
+    rand_unit_axis,
     sym_trace,
 )
-from conftest import axis_angle_rotation, char_poly, mat_dist, rand_sym, rand_unit_axis
 
 sym_entries = st.lists(st.floats(-10, 10, allow_nan=False), min_size=6, max_size=6)
 

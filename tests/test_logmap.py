@@ -16,7 +16,6 @@ from affine12.linalg3 import (
     mat_mul,
     sym_eigenvalues,
     sym_square,
-    sym_to_mat3,
 )
 from affine12.logmap import (
     consistent_log_so3,
@@ -36,6 +35,7 @@ from conftest import (
     rand_unit_axis,
     sym_dist,
     sym_norm,
+    sym_to_mat3,
 )
 
 
@@ -144,7 +144,7 @@ class TestLogSo3:
 
 
 def sym_to_mat3_anti(x: AntiSymMat3) -> Mat3:
-    from affine12.linalg3 import antisym_to_mat3
+    from conftest import antisym_to_mat3
 
     return antisym_to_mat3(x)
 

@@ -22,7 +22,6 @@ from affine12.linalg3 import (
     gram,
     mat_inverse,
     mat_vec,
-    sym_to_mat3,
     vec_add,
 )
 from affine12.meshblend import (
@@ -37,7 +36,7 @@ from affine12.meshblend import (
     per_face_affine,
     save_obj,
 )
-from conftest import axis_angle_rotation, mat_dist, rand_unit_axis, vec_dist
+from conftest import axis_angle_rotation, mat_dist, rand_unit_axis, sym_to_mat3, vec_dist
 
 TRI = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.2, 1.1, 0.0))
 

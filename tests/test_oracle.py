@@ -112,6 +112,7 @@ class TestMatfunDiag:
 
 
 def _sym_mul(a: SymMat3, b: SymMat3) -> Mat3:
-    from affine12.linalg3 import mat_mul, sym_to_mat3
+    from affine12.linalg3 import mat_mul
+    from conftest import sym_to_mat3
 
     return mat_mul(sym_to_mat3(a), sym_to_mat3(b))

@@ -2,24 +2,31 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine12.errors import IllConditionedWarning, NotOrientationPreservingError
 from affine12.linalg3 import (
+    _MIN_NORMAL,
     MAT3_IDENTITY,
     AntiSymMat3,
     Mat3,
+    SymEig3,
     SymMat3,
     Vec3,
     antisym_angle,
     gram,
     mat_det,
     mat_mul,
-    sym_to_mat3,
+    sym_char_coeffs,
+    sym_eigenvalues,
 )
+from affine12.logmap import _orth_defect2
 from affine12.param import (
+    _NEWTON_SKIP,
+    _refined_gram_eig,
     AffineParam12,
     HomAffine3,
     TransformClass,
@@ -35,8 +42,10 @@ from conftest import (
     generator_for,
     mat_dist,
     rand_linear,
+    rand_rotation,
     rand_unit_axis,
     sym_dist,
+    sym_to_mat3,
     vec_dist,
 )
 
@@ -55,7 +64,7 @@ class TestVectorPacking:
         assert AffineParam12.from_vector(list(range(1, 13))) == p
 
     def test_antisym_packing(self):
-        from affine12.linalg3 import antisym_to_mat3
+        from conftest import antisym_to_mat3
 
         m = antisym_to_mat3(AntiSymMat3(4.0, 5.0, 6.0))
         assert m == Mat3(0, 4, 5, -4, 0, 6, -5, -6, 0)
@@ -262,3 +271,112 @@ class TestClasses:
             out = params_to_transform(p)
             assert mat_dist(sym_to_mat3(gram(out.linear)), MAT3_IDENTITY) <= 1e-10
             assert vec_dist(out.translation, Vec3(0, 0, 0)) <= 1e-10
+
+
+# -- the Newton refinement, pinned bit for bit to its loop form ---------------
+
+def _loop_refined_gram_eig(g: SymMat3, det_linear: float) -> SymEig3:
+    """The refinement in the loop form it had before it was unrolled."""
+    l1, l2, l3 = sym_eigenvalues(g)
+    c2 = g.xx + g.yy + g.zz
+    c1 = (g.xx * g.yy + g.yy * g.zz + g.zz * g.xx
+          - g.xy * g.xy - g.xz * g.xz - g.yz * g.yz)
+    c0 = det_linear * det_linear
+    if l3 <= 0.0:
+        l3 = c0 / max(l1 * l2, _MIN_NORMAL)
+    lams = [l1, l2, l3]
+    scale2 = max(1.0, l1 * l1)
+    for i in range(3):
+        lam = lams[i]
+        dp = 1.0
+        for j in range(3):
+            if j != i:
+                dp *= lam - lams[j]
+        if abs(dp) < _NEWTON_SKIP * scale2:
+            continue
+        p = ((lam - c2) * lam + c1) * lam - c0
+        lams[i] = lam - p / dp
+    lams.sort(reverse=True)
+    return SymEig3(lams[0], lams[1], lams[2])
+
+
+def _diag(d1, d2, d3) -> Mat3:
+    return Mat3(d1, 0.0, 0.0, 0.0, d2, 0.0, 0.0, 0.0, d3)
+
+
+def _refinement_cases() -> dict[str, list[tuple[SymMat3, float]]]:
+    """Seeded (Gram matrix, det(linear)) inputs, grouped by the regime they reach."""
+    rng = random.Random(4242)
+    cases = {"general": [], "newton_skip": [], "l3_recovery": [], "diagonal": [], "nan": []}
+    for _ in range(300):
+        m = rand_linear(rng)
+        cases["general"].append((gram(m), mat_det(m)))
+    while len(cases["newton_skip"]) < 120:
+        # a rotation times nearly equal scales: a triple or a double leading
+        # root, kept when the first Newton step is skipped
+        s = rng.uniform(0.3, 3.0)
+        d3 = s * (1.0 + rng.uniform(0.0, 1e-9)) if len(cases["newton_skip"]) % 2 else 0.2 * s
+        m = mat_mul(rand_rotation(rng), _diag(s, s * (1.0 + rng.uniform(0.0, 1e-9)), d3))
+        g = gram(m)
+        l1, l2, l3 = sym_eigenvalues(g)
+        if abs((l1 - l2) * (l1 - l3)) < _NEWTON_SKIP * max(1.0, l1 * l1):
+            cases["newton_skip"].append((g, mat_det(m)))
+    while len(cases["l3_recovery"]) < 30:
+        # cond(A) ~ 1e8: absolute roundoff in the cubic can push l3 below zero
+        m = mat_mul(mat_mul(rand_rotation(rng, 3.0), _diag(100.0, 1.0, 1e-6)),
+                    rand_rotation(rng, 3.0))
+        g = gram(m)
+        if sym_eigenvalues(g).l3 <= 0.0:
+            cases["l3_recovery"].append((g, mat_det(m)))
+    for _ in range(60):
+        m = _diag(*(math.exp(rng.uniform(-3.0, 3.0)) for _ in range(3)))
+        cases["diagonal"].append((gram(m), mat_det(m)))
+    nan = float("nan")
+    for k in range(40):
+        s = rng.uniform(0.5, 2.0)
+        m = mat_mul(rand_rotation(rng), _diag(s, s * (1.0 + 1e-12), rng.uniform(0.1, 0.3)))
+        g = gram(m)
+        if k % 2:
+            # a NaN determinant: the double root is skipped, the simple one turns NaN
+            cases["nan"].append((g, nan))
+        else:
+            cases["nan"].append((g._replace(xy=nan), mat_det(m)))
+    return cases
+
+
+def _hex(eig) -> tuple[str, ...]:
+    return tuple(float(x).hex() for x in eig)
+
+
+class TestRefinementPinned:
+    def test_unrolled_refinement_matches_the_loop_bit_for_bit(self):
+        for regime, cases in _refinement_cases().items():
+            for g, det in cases:
+                got = _refined_gram_eig(g, det)
+                assert type(got) is SymEig3
+                assert _hex(got) == _hex(_loop_refined_gram_eig(g, det)), (regime, g, det)
+
+    def test_the_cases_reach_their_regimes(self):
+        cases = _refinement_cases()
+        skips = [g for g, _ in cases["newton_skip"]]
+        # the draws keep both triple and double leading roots
+        assert sum(sym_eigenvalues(g).l3 > 0.5 * sym_eigenvalues(g).l1 for g in skips) >= 30
+        assert sum(sym_eigenvalues(g).l3 < 0.5 * sym_eigenvalues(g).l1 for g in skips) >= 30
+        for g, _ in cases["diagonal"]:
+            assert g.xy == g.xz == g.yz == 0.0
+        outs = [_refined_gram_eig(g, det) for g, det in cases["nan"]]
+        assert all(any(map(math.isnan, eig)) for eig in outs)
+        # some rows mix NaN and finite roots, where the order is the sort's
+        assert any(not all(map(math.isnan, eig)) for eig in outs)
+
+    def test_char_coeffs_and_orth_defect_agree_on_floats_and_arrays(self):
+        rng = np.random.default_rng(17)
+        n = 2000
+        g = rng.uniform(-3.0, 3.0, (6, n))
+        r = rng.uniform(-1.2, 1.2, (9, n))
+        c2, c1 = sym_char_coeffs(SymMat3(*g))
+        defect = _orth_defect2(Mat3(*r))
+        for k in range(n):
+            s2, s1 = sym_char_coeffs(SymMat3(*g[:, k].tolist()))
+            assert (s2.hex(), s1.hex()) == (float(c2[k]).hex(), float(c1[k]).hex())
+            assert _orth_defect2(Mat3(*r[:, k].tolist())).hex() == float(defect[k]).hex()
