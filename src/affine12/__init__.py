@@ -17,7 +17,6 @@ from .blend import (
 )
 from .errors import (
     Affine12Error,
-    DegenerateSpectrumError,
     DegenerateTriangleError,
     FileFormatError,
     IllConditionedWarning,
@@ -72,7 +71,6 @@ __all__ = [
     "AntiSymMat3",
     "Affine12Error",
     "CompatibleSet",
-    "DegenerateSpectrumError",
     "DegenerateTriangleError",
     "FileFormatError",
     "HomAffine3",

@@ -4,8 +4,8 @@ Inputs come from a seeded Mersenne Twister (the stdlib generator), so every
 report is replayable from its recorded seed; matrices are drawn with i.i.d.
 uniform [-1, 1] entries and rejection-resampled until the determinant
 clears the requested floor. Timing pre-generates all inputs, repeats each
-kernel at least three times, and keeps the fastest mean so scheduler noise
-cannot inflate a kernel unfairly.
+kernel three times, and keeps the fastest mean so scheduler noise cannot
+inflate a kernel unfairly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .param import (
 
 GENERATOR_NAME = "python-random-mt19937"
 DEFAULT_SEED = 987654321
+_TIMING_REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class BenchReport:
     errors: dict[str, float] = field(default_factory=dict)
     mean_seconds_per_call: dict[str, float] = field(default_factory=dict)
     speed_ratio: dict[str, float] = field(default_factory=dict)
-    generator: str = GENERATOR_NAME
     seed: int = DEFAULT_SEED
     acceptance_rate: float | None = None
 
@@ -59,14 +59,6 @@ def _draw_linear(rng: random.Random, det_floor: float) -> tuple[Mat3, Vec3, int]
             return m, Vec3(*vals[9:]), attempts
 
 
-def random_affine(det_floor: float, seed: int | None = None) -> HomAffine3:
-    """One random transform with det(linear) > det_floor; seeded, replayable."""
-    if det_floor <= 0.0:
-        raise ValueError(f"det_floor must be positive, got {det_floor}")
-    linear, translation, _ = _draw_linear(random.Random(seed), det_floor)
-    return HomAffine3(linear, translation)
-
-
 def sample_affines(n: int, det_floor: float, seed: int) -> tuple[list[HomAffine3], float]:
     """n random transforms plus the rejection sampler's acceptance rate."""
     if det_floor <= 0.0:
@@ -81,8 +73,8 @@ def sample_affines(n: int, det_floor: float, seed: int) -> tuple[list[HomAffine3
     return out, n / attempts
 
 
-def random_sym(rng: random.Random, scale: float = 1.0) -> SymMat3:
-    return SymMat3(*(rng.uniform(-scale, scale) for _ in range(6)))
+def random_sym(rng: random.Random) -> SymMat3:
+    return SymMat3(*(rng.uniform(-1.0, 1.0) for _ in range(6)))
 
 
 def roundtrip_error_stats(n: int, det_floor: float = 1e-3,
@@ -127,9 +119,9 @@ _KERNELS = {
 _RATIO_PAIRS = (("exp_sym3", "exp_diag"), ("log_spd", "log_diag"))
 
 
-def _mean_time(fn, inputs, repeats: int) -> float:
+def _mean_time(fn, inputs) -> float:
     best = float("inf")
-    for _ in range(max(repeats, 1)):
+    for _ in range(_TIMING_REPEATS):
         t0 = time.perf_counter()
         for v in inputs:
             fn(v)
@@ -143,8 +135,7 @@ def _sq_frob_sym(a: SymMat3, b: SymMat3) -> float:
     return sym_norm2(SymMat3(*(x - y for x, y in zip(a, b))))
 
 
-def timing_run(n: int, seed: int = DEFAULT_SEED,
-               det_floor: float = 1e-3, repeats: int = 3) -> BenchReport:
+def timing_run(n: int, seed: int = DEFAULT_SEED, det_floor: float = 1e-3) -> BenchReport:
     """Per-call timings and closed-form vs diagonalisation speed ratios.
 
     Symmetric inputs have uniform [-1, 1] entries; SPD inputs are Gram
@@ -158,7 +149,7 @@ def timing_run(n: int, seed: int = DEFAULT_SEED,
     sym_inputs = [random_sym(rng) for _ in range(n)]
     spd_inputs = [gram(_draw_linear(rng, det_floor)[0]) for _ in range(n)]
     pools = {"sym": sym_inputs, "spd": spd_inputs}
-    times = {name: _mean_time(fn, pools[pool], repeats) for name, (fn, pool) in _KERNELS.items()}
+    times = {name: _mean_time(fn, pools[pool]) for name, (fn, pool) in _KERNELS.items()}
     ratios = {closed: times[diag] / times[closed] for closed, diag in _RATIO_PAIRS}
     closed_err = max(_sq_frob_sym(s, exp_sym3(_log_spd_full(s))) for s in spd_inputs)
     diag_err = max(_sq_frob_sym(s, _exp_diag(_log_diag(s))) for s in spd_inputs)
@@ -179,7 +170,7 @@ CSV_HEADER = "name,n,max_sq_frob_error,mean_ns_per_call,speed_ratio"
 
 def write_csv(report: BenchReport, stream) -> None:
     """One row per kernel; replay seed recorded in a leading comment line."""
-    stream.write(f"# generator={report.generator} seed={report.seed}\n")
+    stream.write(f"# generator={GENERATOR_NAME} seed={report.seed}\n")
     stream.write(CSV_HEADER + "\n")
     names = list(dict.fromkeys(list(report.mean_seconds_per_call) + list(report.errors)))
     for name in names:

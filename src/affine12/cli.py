@@ -7,6 +7,10 @@ log, stretch log). Tracks add a time per knot: {"knots": [{"time": t,
 "matrix"|"param": [...]}, ...]}. JSON booleans are not numbers here, and a
 number that does not fit a finite double is an error naming its entry, as
 is an entry the library cannot convert ("{path}: transforms[i]: ...").
+`blend` sums entries in parameter space: param entries are blended as
+given, on their own branch, and only matrix entries are pulled back (on
+the --consistent-with branch if one is given). An `interp` sample the
+library cannot map names itself ("{path}: sample i (t = ...): ...").
 Meshes are Wavefront OBJ.
 
 Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
@@ -34,7 +38,7 @@ from .bench import (
     timing_run,
     write_csv,
 )
-from .blend import CURVE_KINDS, PoseTrack, WeightedTransforms, blend, interpolate_pose
+from .blend import CURVE_KINDS, PoseTrack, interpolate_pose
 from .errors import Affine12Error, FileFormatError, SolverNotConvergedError
 from .linalg3 import mat_det
 from .meshblend import CompatibleSet, blend_shapes, load_obj, write_obj
@@ -43,6 +47,7 @@ from .param import (
     HomAffine3,
     params_to_transform,
     transform_to_params,
+    weighted_param_sum,
 )
 
 
@@ -245,12 +250,13 @@ def _cmd_unparam(args) -> int:
 
 
 def _cmd_blend(args) -> int:
-    transforms = _as_transforms(args.input, load_transforms(args.input))
-    if len(args.weights) != len(transforms):
+    entries = load_transforms(args.input)
+    if len(args.weights) != len(entries):
         raise FileFormatError(
-            f"{len(transforms)} transforms but {len(args.weights)} weights")
-    refs = _load_refs(args.consistent_with, len(transforms))
-    result = blend(WeightedTransforms(tuple(transforms), tuple(args.weights)), refs=refs)
+            f"{len(entries)} transforms but {len(args.weights)} weights")
+    refs = _load_refs(args.consistent_with, len(entries))
+    params = _as_params(args.input, entries, refs)
+    result = params_to_transform(weighted_param_sum(params, args.weights))
     _write_transforms("matrix", [result.to_rows()], args.output)
     return 0
 
@@ -261,9 +267,13 @@ def _cmd_interp(args) -> int:
     track = load_track(args.track)
     t0, t1 = track.times[0], track.times[-1]
     out = []
-    for i in range(args.samples):
-        t = t0 + (t1 - t0) * i / (args.samples - 1)
-        out.append(interpolate_pose(track, t, curve=args.curve).to_rows())
+    try:
+        for i in range(args.samples):
+            t = t0 + (t1 - t0) * i / (args.samples - 1)
+            out.append(interpolate_pose(track, t, curve=args.curve).to_rows())
+    except _DOMAIN_ERRORS as exc:
+        exc.args = (f"{args.track}: sample {i} (t = {t!r}): {exc}",)
+        raise
     _write_transforms("matrix", out, args.output)
     return 0
 

@@ -13,10 +13,6 @@ class SingularMatrixError(Affine12Error):
     """Matrix inversion was requested for a singular matrix."""
 
 
-class DegenerateSpectrumError(Affine12Error):
-    """Eigenvalues coincide where a formula requires them pairwise distinct."""
-
-
 class NotPositiveDefiniteError(Affine12Error):
     """A symmetric matrix expected to be positive definite is not."""
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegenerateSpectrumError
 from .linalg3 import (
     AntiSymMat3,
     Mat3,
@@ -130,27 +129,3 @@ def exp_sym3(y: SymMat3) -> SymMat3:
     """Closed-form exp of a symmetric matrix (no diagonalisation)."""
     return exp_sym3_with_eig(y, sym_eigenvalues(y))
 
-
-def vandermonde_coeffs(f_values: tuple[float, float, float],
-                       eigenvalues: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Coefficients (a, b, c) with f(Y) = a*I + b*Y + c*Y^2.
-
-    Solves the 3x3 Vandermonde system for pairwise distinct eigenvalues by
-    the explicit partial-fraction form. Raises DegenerateSpectrumError when
-    two eigenvalues coincide exactly; the guarded formulas above are the
-    stable route in that regime.
-    """
-    f1, f2, f3 = f_values
-    l1, l2, l3 = eigenvalues
-    d12 = l1 - l2
-    d13 = l1 - l3
-    d23 = l2 - l3
-    if d12 == 0.0 or d13 == 0.0 or d23 == 0.0:
-        raise DegenerateSpectrumError(f"eigenvalues {eigenvalues!r} are not pairwise distinct")
-    s = f1 / (d12 * d13)
-    t = f2 / (-d12 * d23)
-    u = f3 / (-d13 * -d23)
-    a = s * l2 * l3 + t * l3 * l1 + u * l1 * l2
-    b = -s * (l2 + l3) - t * (l3 + l1) - u * (l1 + l2)
-    c = s + t + u
-    return a, b, c

@@ -157,14 +157,6 @@ def mat_inverse(a: Mat3) -> Mat3:
     )
 
 
-def mat_add(a: Mat3, b: Mat3) -> Mat3:
-    return Mat3(*(x + y for x, y in zip(a, b)))
-
-
-def mat_scale(a: Mat3, s: float) -> Mat3:
-    return Mat3(*(x * s for x in a))
-
-
 def gram(a: Mat3) -> SymMat3:
     """A^T A, stored symmetric."""
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = a
@@ -193,11 +185,6 @@ def mat_mul_sym(a: Mat3, s: SymMat3) -> Mat3:
         a31 * sxy + a32 * syy + a33 * syz,
         a31 * sxz + a32 * syz + a33 * szz,
     ))
-
-
-def frob_norm2(a: Mat3) -> float:
-    """Squared Frobenius norm."""
-    return sum(x * x for x in a)
 
 
 # -- symmetric / antisymmetric packing --------------------------------------

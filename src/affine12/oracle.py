@@ -1,9 +1,8 @@
-"""Reference implementations used by tests and benchmarks.
+"""Diagonalisation reference used by tests and benchmarks.
 
-Deliberately slow but simple: a scaled-and-squared power series for the
-exponential, a cyclic Jacobi eigensolver, and diagonalisation-based matrix
-functions. None of this shares algorithmic code with the closed-form
-kernels, so the two routes check each other independently.
+Deliberately slow but simple: a cyclic Jacobi eigensolver and the matrix
+functions built on it. None of this shares algorithmic code with the
+closed-form kernels, so the two routes check each other independently.
 """
 
 from __future__ import annotations
@@ -11,60 +10,26 @@ from __future__ import annotations
 import math
 
 from .errors import NotPositiveDefiniteError
-from .linalg3 import (
-    MAT3_IDENTITY,
-    Mat3,
-    SymMat3,
-    frob_norm2,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    sym_from_mat3,
-)
+from .linalg3 import Mat3, SymMat3, mat_mul, sym_from_mat3
+
+_JACOBI_OFF_TOL = 1e-14
+_JACOBI_MAX_SWEEPS = 30
 
 
-def exp_series(a: Mat3) -> Mat3:
-    """Matrix exponential by the defining power series.
-
-    Scales the argument by 2^-k until its norm is below 1/2, sums terms
-    until they fall under machine precision relative to the running sum,
-    then squares k times.
-    """
-    norm = math.sqrt(frob_norm2(a))
-    k = 0
-    while norm > 0.5:
-        norm *= 0.5
-        k += 1
-    scaled = mat_scale(a, 0.5 ** k)
-    acc = MAT3_IDENTITY
-    term = MAT3_IDENTITY
-    i = 1
-    while True:
-        term = mat_scale(mat_mul(term, scaled), 1.0 / i)
-        acc = mat_add(acc, term)
-        if math.sqrt(frob_norm2(term)) <= 1e-20 * max(1.0, math.sqrt(frob_norm2(acc))):
-            break
-        i += 1
-        if i > 60:
-            break
-    for _ in range(k):
-        acc = mat_mul(acc, acc)
-    return acc
-
-
-def jacobi_eig(y: SymMat3, off_tol: float = 1e-14, max_sweeps: int = 30):
+def jacobi_eig(y: SymMat3):
     """Cyclic Jacobi eigendecomposition of a symmetric 3x3 matrix.
 
     Returns (eigenvalues sorted descending, Mat3 whose columns are the
     matching orthonormal eigenvectors). Sweeps run until the off-diagonal
-    norm drops below off_tol * max(1, ||Y||_F).
+    norm drops below _JACOBI_OFF_TOL * max(1, ||Y||_F), at most
+    _JACOBI_MAX_SWEEPS of them.
     """
     a = [[y.xx, y.xy, y.xz], [y.xy, y.yy, y.yz], [y.xz, y.yz, y.zz]]
     v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     scale = max(1.0, math.sqrt(sum(a[i][j] * a[i][j] for i in range(3) for j in range(3))))
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2)
-        if off <= off_tol * scale:
+        if off <= _JACOBI_OFF_TOL * scale:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
             apq = a[p][q]
@@ -124,8 +89,3 @@ def matfun_diag(y: SymMat3, fname: str) -> SymMat3:
                                        p.a12, p.a22, p.a32,
                                        p.a13, p.a23, p.a33))
     return sym_from_mat3(full)
-
-
-def exp_antisym_series(x) -> Mat3:
-    """Series exponential of a packed antisymmetric generator."""
-    return exp_series(Mat3(0.0, x.m12, x.m13, -x.m12, 0.0, x.m23, -x.m13, -x.m23, 0.0))

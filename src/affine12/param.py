@@ -21,6 +21,7 @@ from .errors import IllConditionedWarning, NotOrientationPreservingError
 from .expmap import exp_so3, exp_sym3_with_eig
 from .linalg3 import (
     ANTISYM3_ZERO,
+    MAT3_IDENTITY,
     SYM3_ZERO,
     VEC3_ZERO,
     AntiSymMat3,
@@ -80,7 +81,7 @@ class HomAffine3(NamedTuple):
 
     @classmethod
     def identity(cls) -> "HomAffine3":
-        return cls(Mat3(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), VEC3_ZERO)
+        return cls(MAT3_IDENTITY, VEC3_ZERO)
 
     def apply(self, point: Vec3) -> Vec3:
         return vec_add(mat_vec(self.linear, point), self.translation)

@@ -7,6 +7,7 @@ import pytest
 
 from affine12.expmap import exp_so3
 from affine12.linalg3 import (
+    MAT3_IDENTITY,
     AntiSymMat3,
     Mat3,
     SymMat3,
@@ -35,6 +36,82 @@ def mat_transpose(a: Mat3) -> Mat3:
 def sym_trace(y: SymMat3) -> float:
     return y.xx + y.yy + y.zz
 
+
+# -- independent references for the closed forms ------------------------------
+
+def mat_add(a: Mat3, b: Mat3) -> Mat3:
+    return Mat3(*(x + y for x, y in zip(a, b)))
+
+
+def mat_scale(a: Mat3, s: float) -> Mat3:
+    return Mat3(*(x * s for x in a))
+
+
+def frob_norm2(a: Mat3) -> float:
+    """Squared Frobenius norm."""
+    return sum(x * x for x in a)
+
+
+def exp_series(a: Mat3) -> Mat3:
+    """Matrix exponential by the defining power series.
+
+    Scales the argument by 2^-k until its norm is below 1/2, sums terms
+    until they fall under machine precision relative to the running sum,
+    then squares k times.
+    """
+    norm = math.sqrt(frob_norm2(a))
+    k = 0
+    while norm > 0.5:
+        norm *= 0.5
+        k += 1
+    scaled = mat_scale(a, 0.5 ** k)
+    acc = MAT3_IDENTITY
+    term = MAT3_IDENTITY
+    i = 1
+    while True:
+        term = mat_scale(mat_mul(term, scaled), 1.0 / i)
+        acc = mat_add(acc, term)
+        if math.sqrt(frob_norm2(term)) <= 1e-20 * max(1.0, math.sqrt(frob_norm2(acc))):
+            break
+        i += 1
+        if i > 60:
+            break
+    for _ in range(k):
+        acc = mat_mul(acc, acc)
+    return acc
+
+
+def exp_antisym_series(x: AntiSymMat3) -> Mat3:
+    """Series exponential of a packed antisymmetric generator."""
+    return exp_series(antisym_to_mat3(x))
+
+
+def vandermonde_coeffs(f_values: tuple[float, float, float],
+                       eigenvalues: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) with f(Y) = a*I + b*Y + c*Y^2.
+
+    Solves the 3x3 Vandermonde system for pairwise distinct eigenvalues by
+    the explicit partial-fraction form. Raises ValueError when two
+    eigenvalues coincide exactly; the guarded closed forms are the stable
+    route in that regime.
+    """
+    f1, f2, f3 = f_values
+    l1, l2, l3 = eigenvalues
+    d12 = l1 - l2
+    d13 = l1 - l3
+    d23 = l2 - l3
+    if d12 == 0.0 or d13 == 0.0 or d23 == 0.0:
+        raise ValueError(f"eigenvalues {eigenvalues!r} are not pairwise distinct")
+    s = f1 / (d12 * d13)
+    t = f2 / (-d12 * d23)
+    u = f3 / (-d13 * -d23)
+    a = s * l2 * l3 + t * l3 * l1 + u * l1 * l2
+    b = -s * (l2 + l3) - t * (l3 + l1) - u * (l1 + l2)
+    c = s + t + u
+    return a, b, c
+
+
+# -- random inputs -------------------------------------------------------------
 
 def rand_sym(rng: random.Random, scale: float = 1.0) -> SymMat3:
     return SymMat3(*(rng.uniform(-scale, scale) for _ in range(6)))

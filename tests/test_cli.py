@@ -192,6 +192,25 @@ class TestBlendCommand:
         got = read_doc(out)["transforms"][0]["matrix"]
         assert abs(got[0] + 1.0) <= 1e-12
 
+    def test_param_entry_keeps_its_branch(self, tmp_path):
+        # a rotation log of 4 rad halved is a 2 rad turn; pulling the entry
+        # back through its matrix would halve the principal log (-2.28 rad)
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"param": [0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0]}])
+        assert main(["blend", str(src), "--weights", "0.5", "-o", str(out)]) == 0
+        got = read_doc(out)["transforms"][0]["matrix"]
+        assert abs(got[0] - math.cos(2.0)) <= 1e-12
+
+    def test_param_entries_blend_without_their_matrices(self, tmp_path):
+        # exp(800) overflows, but the blended stretch log 400 does not
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"param": BIG_STRETCH_PARAM}, {"param": [0] * 12}])
+        assert main(["blend", str(src), "--weights", "0.5,0.5", "-o", str(out)]) == 0
+        got = read_doc(out)["transforms"][0]["matrix"]
+        assert abs(got[0] / math.exp(400.0) - 1.0) <= 1e-12
+
 
 class TestInterpCommand:
     def test_rotation_track_samples_orthogonal(self, tmp_path):
@@ -238,6 +257,17 @@ class TestInterpCommand:
         track.write_text(json.dumps({"knots": knots}))
         assert main(["interp", str(track), "--samples", "5"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {track}: knots[1]: ")
+
+    def test_library_error_names_the_sample(self, tmp_path, capsys):
+        # the linear stretch log reaches 800 only at the last sample
+        track = tmp_path / "track.json"
+        knots = [{"time": 0.0, "param": [0] * 12},
+                 {"time": 1.0, "param": BIG_STRETCH_PARAM}]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "5", "--curve", "linear"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {track}: sample 4 (t = 1.0): "
+            "exp of leading eigenvalue 800.0 is not representable\n")
 
     def test_samples_checked_before_the_track_is_read(self, tmp_path, capsys):
         missing = tmp_path / "nothere.json"

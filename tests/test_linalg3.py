@@ -10,7 +10,6 @@ from affine12.linalg3 import (
     MAT3_IDENTITY,
     Mat3,
     SymMat3,
-    frob_norm2,
     gram,
     mat_det,
     mat_inverse,
@@ -21,6 +20,7 @@ from affine12.linalg3 import (
 from conftest import (
     axis_angle_rotation,
     char_poly,
+    frob_norm2,
     mat_dist,
     mat_transpose,
     rand_sym,

@@ -13,14 +13,11 @@ from affine12.linalg3 import (
     sym_eigenvalues,
     sym_square,
 )
-from affine12.oracle import (
-    exp_antisym_series,
-    exp_series,
-    jacobi_eig,
-    matfun_diag,
-)
+from affine12.oracle import jacobi_eig, matfun_diag
 from conftest import (
     conjugate_spectrum,
+    exp_antisym_series,
+    exp_series,
     mat_dist,
     rand_antisym,
     rand_linear,
