@@ -9,8 +9,12 @@ number that does not fit a finite double is an error naming its entry, as
 is an entry the library cannot convert ("{path}: transforms[i]: ...").
 `blend` sums entries in parameter space: param entries are blended as
 given, on their own branch, and only matrix entries are pulled back (on
-the --consistent-with branch if one is given). An `interp` sample the
-library cannot map names itself ("{path}: sample i (t = ...): ...").
+the --consistent-with branch if one is given); a blend the library cannot
+map forward names the file and weights ("{path}: blend with weights
+w1,w2,...: ..."). A reference rotation log longer than 1e7 rad, in a
+--consistent-with file or reached by chaining matrix knots, is a domain
+error naming the entry it was used for. An `interp` sample the library
+cannot map names itself ("{path}: sample i (t = ...): ...").
 Meshes are Wavefront OBJ.
 
 Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
@@ -256,7 +260,11 @@ def _cmd_blend(args) -> int:
             f"{len(entries)} transforms but {len(args.weights)} weights")
     refs = _load_refs(args.consistent_with, len(entries))
     params = _as_params(args.input, entries, refs)
-    result = params_to_transform(weighted_param_sum(params, args.weights))
+    try:
+        result = params_to_transform(weighted_param_sum(params, args.weights))
+    except _DOMAIN_ERRORS as exc:
+        exc.args = (f"{args.input}: blend with weights {','.join(map(repr, args.weights))}: {exc}",)
+        raise
     _write_transforms("matrix", [result.to_rows()], args.output)
     return 0
 

@@ -26,7 +26,8 @@ class NotOrientationPreservingError(Affine12Error):
 
 
 class OutOfRangeError(Affine12Error):
-    """Evaluation parameter outside the supported domain (e.g. curve time)."""
+    """Evaluation parameter outside the supported domain (a curve time, or a
+    branch reference whose rotation angle exceeds 1e7 rad or is not finite)."""
 
 
 class DegenerateTriangleError(Affine12Error):

@@ -245,10 +245,6 @@ def sym_poly2(a: float, b: float, c: float, y: SymMat3) -> SymMat3:
     )
 
 
-def antisym_scale(x: AntiSymMat3, s: float) -> AntiSymMat3:
-    return AntiSymMat3(x.m12 * s, x.m13 * s, x.m23 * s)
-
-
 def antisym_angle(x: AntiSymMat3) -> float:
     """Rotation angle sqrt(tr(X^T X)/2) carried by the generator."""
     return math.sqrt(x.m12 * x.m12 + x.m13 * x.m13 + x.m23 * x.m23)

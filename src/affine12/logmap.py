@@ -6,16 +6,17 @@ normalised Z = G/l2, with coefficients built from the analytic helper
 L2(x) = (log(x) - (x-1))/(x-1). The rotation log inverts the axis-angle
 formula and keeps two guarded regimes: a Taylor form for tiny angles and a
 rank-one axis extraction near half-turns, where the antisymmetric part of R
-loses the axis. A reference-tracking variant picks the branch of the
-logarithm closest to a previous value, so chained calls can follow
-rotations past 2*pi.
+loses the axis. A reference-tracking variant follows rotations past 2*pi
+in one closed form: the principal angle plus the fewest whole turns that
+bring it within pi of the reference angle (a gap of exactly pi keeps the
+principal log). References beyond 1e7 rad raise OutOfRangeError.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NotARotationError, NotPositiveDefiniteError
+from .errors import NotARotationError, NotPositiveDefiniteError, OutOfRangeError
 from .expmap import _SINC_TAYLOR, exp_sym3_with_eig, sinc_guarded
 from .linalg3 import (
     AntiSymMat3,
@@ -24,7 +25,6 @@ from .linalg3 import (
     SymMat3,
     _new,
     antisym_angle,
-    antisym_scale,
     mat_det,
 )
 
@@ -33,6 +33,8 @@ _SPREAD_TAYLOR = 1e-4
 _NEAR_PI = 1e-3
 _ROTATION_TOL = 1e-6
 _AXIS_COMPONENT_EPS = 1e-9
+_TWO_PI = 2.0 * math.pi
+_MAX_REF_ANGLE = 1e7
 
 
 def log_quad_coeff(x: float) -> float:
@@ -223,22 +225,18 @@ def _log_so3_near_pi(r: Mat3, cos_t: float) -> AntiSymMat3:
 def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
     """Logarithm of R on the branch closest to a reference generator.
 
-    Starts from the principal log, flips its sign if it points away from
-    the reference, then shifts the angle by multiples of 2*pi until it lies
-    within pi of the reference angle. An exact half-turn keeps the
-    reference direction scaled to pi (or a fixed generator when the
-    reference vanishes): at theta = pi the rotation itself cannot prefer a
-    sign, so the reference axis is trusted outright.
+    Every log of R is k (t + 2 pi n), k and t the unit axis and angle of the
+    principal log. The target is the reference angle, negated if k . ref < 0;
+    n is the fewest turns that bring t + 2 pi n within pi of it (0 at a gap of
+    exactly pi). A half-turn keeps its own axis, so every branch reproduces R.
+    A reference angle beyond _MAX_REF_ANGLE (1e7 rad, where 2 pi n would cost
+    the 1e-8 round trip), NaN or inf raises OutOfRangeError.
     """
-    # log_so3 checks R once for both; its half-turn result is discarded
-    principal = log_so3(r)
-    if 0.5 * (r.a11 + r.a22 + r.a33 - 1.0) <= -1.0:
-        ref_angle = antisym_angle(ref)
-        if ref_angle > 0.0:
-            return antisym_scale(ref, math.pi / ref_angle)
-        return AntiSymMat3(math.pi, 0.0, 0.0)
-    theta = antisym_angle(principal)
     ref_angle = antisym_angle(ref)
+    if not ref_angle <= _MAX_REF_ANGLE:
+        raise OutOfRangeError(f"reference angle {ref_angle!r} rad exceeds {_MAX_REF_ANGLE:g}")
+    principal = log_so3(r)
+    theta = antisym_angle(principal)
     if theta > 1e-12:
         inv = 1.0 / theta
         k12, k13, k23 = principal.m12 * inv, principal.m13 * inv, principal.m23 * inv
@@ -250,17 +248,13 @@ def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
         theta = 0.0
     else:
         return principal
-    signed = theta
-    if k12 * ref.m12 + k13 * ref.m13 + k23 * ref.m23 < 0.0:
-        # flipping generator and angle together leaves the product intact;
-        # it only re-anchors the angle for the shift loops below
-        k12, k13, k23 = -k12, -k13, -k23
-        signed = -theta
-    shifted = signed
-    while ref_angle - shifted > math.pi:
-        shifted += 2.0 * math.pi
-    while shifted - ref_angle > math.pi:
-        shifted -= 2.0 * math.pi
-    if shifted == signed:
+    target = ref_angle if k12 * ref.m12 + k13 * ref.m13 + k23 * ref.m23 >= 0.0 else -ref_angle
+    gap = target - theta
+    if gap > math.pi:
+        n = math.ceil((gap - math.pi) / _TWO_PI)
+    elif gap < -math.pi:
+        n = -math.ceil((-gap - math.pi) / _TWO_PI)
+    else:
         return principal
-    return AntiSymMat3(k12 * shifted, k13 * shifted, k23 * shifted)
+    angle = theta + n * _TWO_PI
+    return AntiSymMat3(k12 * angle, k13 * angle, k23 * angle)

@@ -37,6 +37,10 @@ def sym_trace(y: SymMat3) -> float:
     return y.xx + y.yy + y.zz
 
 
+def antisym_scale(x: AntiSymMat3, s: float) -> AntiSymMat3:
+    return AntiSymMat3(x.m12 * s, x.m13 * s, x.m23 * s)
+
+
 # -- independent references for the closed forms ------------------------------
 
 def mat_add(a: Mat3, b: Mat3) -> Mat3:

@@ -42,6 +42,13 @@ BIG_STRETCH_PARAM = [0, 0, 0, 0, 0, 0, 800, 0, 0, 0, 0, 0]
 ILL_CONDITIONED_ROWS = [1e6, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-6, 0]
 
 
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, stopped after 60 s so a runaway loop fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "affine12.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def rotation_rows(axis, angle, translation=(0.0, 0.0, 0.0)):
     r = axis_angle_rotation(axis, angle)
     t = translation
@@ -153,6 +160,19 @@ class TestParamUnparam:
         assert main(["param", str(refs), "--consistent-with", str(src)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {src}: transforms[1]: ")
 
+    @pytest.mark.parametrize("ref_angle", [1e17, 1e300])
+    def test_consistent_with_reference_out_of_range_exits_2(self, tmp_path, ref_angle):
+        src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}, {"matrix": IDENTITY_ROWS}])
+        write_transforms(refs, [{"param": [0.0] * 12},
+                                {"param": [0, 0, 0, ref_angle, 0, 0, 0, 0, 0, 0, 0, 0]}])
+        done = run_cli("param", src, "--consistent-with", refs)
+        assert done.returncode == 2
+        # the angle of a 1e300 log overflows to inf when measured
+        assert done.stderr.startswith(f"error: {src}: transforms[1]: reference angle ")
+        assert done.stderr.endswith(" rad exceeds 1e+07\n")
+
 
 class TestBlendCommand:
     def test_single_weight_reproduces(self, tmp_path):
@@ -172,6 +192,14 @@ class TestBlendCommand:
         assert main(["blend", str(src), "--weights", "1", "-o", str(out)]) == 2
         assert "transforms[0]" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
+
+    def test_forward_map_error_names_file_and_weights(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        write_transforms(src, [{"param": [0, 0, 0, 0, 0, 0, 400, 0, 0, 0, 0, 0]}])
+        assert main(["blend", str(src), "--weights", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: blend with weights 2.0: "
+            "exp of leading eigenvalue 800.0 is not representable\n")
 
     def test_weight_count_mismatch_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.json"
@@ -241,6 +269,32 @@ class TestInterpCommand:
                      "-o", str(out)]) == 0
         m = read_doc(out)["transforms"][3]["matrix"]
         assert abs(math.atan2(m[4], m[0]) - 3.0) <= 1e-9
+
+    def test_half_turn_matrix_knot_is_met(self, tmp_path):
+        # z-knots at 0, 2, 4.5 and 7 rad, then the exact z half-turn, which
+        # continues the track on 3*pi; linear samples every half time unit
+        track = tmp_path / "track.json"
+        out = tmp_path / "out.json"
+        half_turn_z = [-1.0, 0, 0, 0, 0, -1.0, 0, 0, 0, 0, 1.0, 0]
+        knots = [{"time": float(k), "matrix": rotation_rows((0, 0, 1), angle)}
+                 for k, angle in enumerate((0.0, 2.0, 4.5, 7.0))]
+        knots.append({"time": 4.0, "matrix": half_turn_z})
+        track.write_text(json.dumps({"knots": knots}))
+        done = run_cli("interp", track, "--samples", 9, "--curve", "linear", "-o", out)
+        assert done.returncode == 0, done.stderr
+        samples = [e["matrix"] for e in read_doc(out)["transforms"]]
+        assert all(abs(a - b) <= 1e-15 for a, b in zip(samples[8], half_turn_z))
+        mid = 0.5 * (7.0 + 3.0 * math.pi)   # t = 3.5, about 8.21 rad
+        m = samples[7]
+        assert math.hypot(m[0] - math.cos(mid), m[4] - math.sin(mid)) <= 1e-12
+        # a half-turn about z after an x-rotation keeps its own axis
+        knots = [{"time": 0.0, "matrix": rotation_rows((1, 0, 0), 1.0)},
+                 {"time": 1.0, "matrix": half_turn_z}]
+        track.write_text(json.dumps({"knots": knots}))
+        done = run_cli("interp", track, "--samples", 3, "-o", out)
+        assert done.returncode == 0, done.stderr
+        last = read_doc(out)["transforms"][2]["matrix"]
+        assert all(abs(a - b) <= 1e-15 for a, b in zip(last, half_turn_z))
 
     def test_boolean_time_rejected(self, tmp_path, capsys):
         track = tmp_path / "track.json"

@@ -17,13 +17,13 @@ from affine12.linalg3 import (
     Mat3,
     SymMat3,
     antisym_angle,
-    antisym_scale,
     mat_mul,
     sym_eigenvalues,
     sym_poly2,
 )
 from affine12.oracle import matfun_diag
 from conftest import (
+    antisym_scale,
     exp_antisym_series,
     mat_dist,
     rand_antisym,

@@ -1,10 +1,13 @@
 import math
 import random
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine12 import logmap
-from affine12.errors import NotARotationError, NotPositiveDefiniteError
+from affine12.errors import NotARotationError, NotPositiveDefiniteError, OutOfRangeError
 from affine12.expmap import exp_so3, exp_sym3
 from affine12.linalg3 import (
     MAT3_IDENTITY,
@@ -149,6 +152,14 @@ def sym_to_mat3_anti(x: AntiSymMat3) -> Mat3:
     return antisym_to_mat3(x)
 
 
+HALF_TURNS = (Mat3(1.0, 0, 0, 0, -1.0, 0, 0, 0, -1.0),
+              Mat3(-1.0, 0, 0, 0, 1.0, 0, 0, 0, -1.0),
+              Mat3(-1.0, 0, 0, 0, -1.0, 0, 0, 0, 1.0))
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 1e-3).map(lambda v: tuple(c / math.hypot(*v) for c in v))
+
+
 class TestConsistentLog:
     def test_identity_with_zero_ref(self):
         out = consistent_log_so3(MAT3_IDENTITY, AntiSymMat3(0, 0, 0))
@@ -179,10 +190,69 @@ class TestConsistentLog:
         want = generator_for((0.0, 0.0, 1.0), math.pi)
         assert mat_dist(sym_to_mat3_anti(out), sym_to_mat3_anti(want)) <= 1e-12
 
-    def test_half_turn_zero_reference_fixed_generator(self):
-        r = Mat3(-1.0, 0, 0, 0, -1.0, 0, 0, 0, 1.0)
-        out = consistent_log_so3(r, AntiSymMat3(0.0, 0.0, 0.0))
-        assert out == AntiSymMat3(math.pi, 0.0, 0.0)
+    def test_half_turns_zero_reference_reproduce_rotation(self):
+        # the x, y and z half-turns each keep their own axis
+        for r in HALF_TURNS:
+            out = consistent_log_so3(r, AntiSymMat3(0.0, 0.0, 0.0))
+            assert mat_dist(exp_so3(out), r) <= 1e-15
+            assert antisym_angle(out) == math.pi
+
+    def test_half_turn_far_reference_takes_its_turn(self):
+        # a reference of 9 rad about z puts the z half-turn on 3*pi, as the
+        # same rotation just short of pi already was
+        ref = generator_for((0.0, 0.0, 1.0), 9.0)
+        for angle in (math.pi, math.pi - 1e-4):
+            out = consistent_log_so3(axis_angle_rotation((0.0, 0.0, 1.0), angle), ref)
+            want = generator_for((0.0, 0.0, 1.0), angle + 2.0 * math.pi)
+            assert mat_dist(sym_to_mat3_anti(out), sym_to_mat3_anti(want)) <= 1e-12
+        out = consistent_log_so3(HALF_TURNS[2], ref)
+        assert abs(antisym_angle(out) - 3.0 * math.pi) <= 1e-15
+
+    @settings(max_examples=300, deadline=None)
+    @given(rotation=st.one_of(
+               st.sampled_from(HALF_TURNS),
+               st.tuples(unit_axes, st.floats(0.0, math.pi)).map(
+                   lambda aa: axis_angle_rotation(*aa))),
+           ref_axis=unit_axes,
+           ref_angle=st.one_of(st.just(0.0), st.floats(-300.0, 7.0).map(lambda e: 10.0 ** e)))
+    def test_branch_rule_property(self, rotation, ref_axis, ref_angle):
+        ref = generator_for(ref_axis, ref_angle)
+        ref_angle = antisym_angle(ref)
+        if ref_angle > 1e7:   # 1e7 itself may measure one ulp above the bound
+            with pytest.raises(OutOfRangeError):
+                consistent_log_so3(rotation, ref)
+            return
+        out = consistent_log_so3(rotation, ref)
+        assert mat_dist(exp_so3(out), rotation) <= 1e-12 + 1e-15 * ref_angle
+        # along the principal axis (the reference's for the identity), the
+        # result lies within pi of the reference angle signed the same way
+        principal = log_so3(rotation)
+        axis = principal if antisym_angle(principal) > 1e-12 else ref
+        norm = antisym_angle(axis)
+        if norm == 0.0:
+            assert out == principal
+            return
+        signed = (out.m12 * axis.m12 + out.m13 * axis.m13 + out.m23 * axis.m23) / norm
+        side = ref.m12 * axis.m12 + ref.m13 * axis.m13 + ref.m23 * axis.m23
+        target = ref_angle if side >= 0.0 else -ref_angle
+        assert abs(signed - target) <= math.pi + 1e-9 + 1e-15 * ref_angle
+
+    @pytest.mark.parametrize("ref_angle", [1.0000001e7, 1e17, 1e300, math.inf, math.nan])
+    def test_reference_out_of_range(self, ref_angle):
+        # the call is stopped after 10 s, so a branch search that does not
+        # end at a huge reference fails the test instead of hanging the suite
+        def stop(signum, frame):
+            raise TimeoutError("consistent_log_so3 ran for 10 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(10)
+        try:
+            ref = generator_for((0.0, 0.6, 0.8), ref_angle)
+            with pytest.raises(OutOfRangeError, match="reference angle"):
+                consistent_log_so3(MAT3_IDENTITY, ref)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_roundtrip_and_angle_window(self, rng):
         for _ in range(1000):

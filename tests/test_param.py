@@ -158,9 +158,14 @@ class TestInverseMap:
         p = transform_to_params(HomAffine3.identity(), ref=ref)
         assert abs(antisym_angle(p.rotation) - 2 * math.pi) <= 1e-12
 
+    def test_consistent_zero_ref_half_turns_round_trip(self):
+        for diag in ((1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)):
+            a = HomAffine3(Mat3(diag[0], 0, 0, 0, diag[1], 0, 0, 0, diag[2]), Vec3(1, 2, 3))
+            back = params_to_transform(transform_to_params(a, ref=AffineParam12.zero()))
+            assert mat_dist(back.linear, a.linear) <= 1e-15
+            assert vec_dist(back.translation, a.translation) <= 1e-15
+
     def test_consistent_twist_chain(self, rng):
-        # sample count chosen so no sample is an exact half-turn, where the
-        # reference-scaled branch would legitimately reset the magnitude
         axis = rand_unit_axis(rng)
         prev = AffineParam12.zero()
         last = 0.0
