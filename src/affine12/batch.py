@@ -30,6 +30,7 @@ from .errors import (
     NotARotationError,
     NotOrientationPreservingError,
     NotPositiveDefiniteError,
+    OutOfRangeError,
 )
 from .expmap import _E2_TAYLOR, _EXP_ARG_MAX, _SINC_TAYLOR, _rodrigues
 from .expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
@@ -47,7 +48,7 @@ from .linalg3 import (
     sym_poly2,
     sym_scale,
 )
-from .logmap import _AXIS_COMPONENT_EPS, _L2_TAYLOR, _NEAR_PI, _ROTATION_TOL, _orth_defect2
+from .logmap import _L2_TAYLOR, _NEAR_PI, _ROTATION_TOL, _orth_defect2
 from .logmap import _SPREAD_TAYLOR as _LOG_SPREAD_TAYLOR
 from .param import _ILL_CONDITIONED_DET, _NEWTON_SKIP, _newton_orthonormalize
 
@@ -96,7 +97,8 @@ def params_to_transforms(params) -> tuple[np.ndarray, np.ndarray]:
     """Transforms of N parameter rows: (N, 12) -> linear (N, 3, 3), translation (N, 3).
 
     Row i is params_to_transform of row i. Raises OverflowError for a
-    stretch log beyond the double-precision exponent range.
+    stretch log beyond the double-precision exponent range and
+    OutOfRangeError for a rotation log whose angle is infinite.
     """
     p = _rows_of(params, (12,), "params")
     cols = p.T.copy()
@@ -251,6 +253,9 @@ def _exp_so3(x: AntiSymMat3) -> Mat3:
     """expmap.exp_so3 over a batch."""
     a, b, c = x
     theta = np.sqrt(a * a + b * b + c * c)
+    i = _first(theta == np.inf)
+    if i is not None:
+        raise OutOfRangeError(f"row {i}: rotation angle {float(theta[i])!r} is not finite")
     sh = _sinc(0.5 * theta)
     return _rodrigues(a, b, c, _sinc(theta), 0.5 * sh * sh)
 
@@ -275,26 +280,22 @@ def _log_so3(r: Mat3) -> AntiSymMat3:
     small = theta < _SINC_TAYLOR
     inv_sinc = np.where(small, 1.0 / _sinc(theta), theta / _safe(sin_t, sin_t == 0.0))
 
-    # half-turn regime: the axis is a column of (R + R^T)/2 - cos(t) I
+    # half-turn regime: the axis is the column of (R + R^T)/2 - cos(t) I with the
+    # largest diagonal entry, its direction the sign of s, the angle asin |s|
     m11, m22, m33 = a11 - cos_t, a22 - cos_t, a33 - cos_t
     m12 = 0.5 * (a12 + a21)
     m13 = 0.5 * (a13 + a31)
     m23 = 0.5 * (a23 + a32)
-    n1 = m11 * m11 + m12 * m12 + m13 * m13
-    n2 = m12 * m12 + m22 * m22 + m23 * m23
-    n3 = m13 * m13 + m23 * m23 + m33 * m33
-    col1 = (n1 >= n2) & (n1 >= n3)
-    col2 = ~col1 & (n2 >= n3)
-    nn = np.where(col1, n1, np.where(col2, n2, n3))
+    col1 = (m11 >= m22) & (m11 >= m33)
+    col2 = ~col1 & (m22 >= m33)
+    v1 = np.where(col1, m11, np.where(col2, m12, m13))
+    v2 = np.where(col1, m12, np.where(col2, m22, m23))
+    v3 = np.where(col1, m13, np.where(col2, m23, m33))
+    nn = v1 * v1 + v2 * v2 + v3 * v3
     inv = 1.0 / np.sqrt(_safe(nn, nn == 0.0))
-    v1 = np.where(col1, m11, np.where(col2, m12, m13)) * inv
-    v2 = np.where(col1, m12, np.where(col2, m22, m23)) * inv
-    v3 = np.where(col1, m13, np.where(col2, m23, m33)) * inv
-    d1, d2, d3 = a32 - a23, a13 - a31, a21 - a12
-    sign_key = np.where(np.abs(v2) >= _AXIS_COMPONENT_EPS, v2 * d2,
-                        np.where(np.abs(v1) >= _AXIS_COMPONENT_EPS, v1 * d1, v3 * d3))
-    s = np.minimum(np.abs(0.5 * (d1 * v1 + d2 * v2 + d3 * v3)), 1.0)
-    theta_pi = np.where(sign_key >= 0.0, 1.0, -1.0) * (math.pi - np.arcsin(s))
+    v1, v2, v3 = v1 * inv, v2 * inv, v3 * inv
+    s = 0.5 * ((a32 - a23) * v1 + (a13 - a31) * v2 + (a21 - a12) * v3)
+    theta_pi = np.where(s < 0.0, -1.0, 1.0) * (math.pi - np.arcsin(np.minimum(np.abs(s), 1.0)))
 
     generic = math.pi - theta >= _NEAR_PI
     return AntiSymMat3(np.where(generic, h12 * inv_sinc, -v3 * theta_pi),

@@ -26,8 +26,9 @@ class NotOrientationPreservingError(Affine12Error):
 
 
 class OutOfRangeError(Affine12Error):
-    """Evaluation parameter outside the supported domain (a curve time, or a
-    branch reference whose rotation angle exceeds 1e7 rad or is not finite)."""
+    """Evaluation parameter outside the supported domain: a curve time, a
+    branch reference whose rotation angle exceeds 1e7 rad or is not finite,
+    or a rotation log whose angle is infinite."""
 
 
 class DegenerateTriangleError(Affine12Error):

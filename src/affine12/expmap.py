@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import OutOfRangeError
 from .linalg3 import (
     AntiSymMat3,
     Mat3,
@@ -53,10 +54,14 @@ def exp_so3(x: AntiSymMat3) -> Mat3:
     """Rotation matrix exp(X) for an antisymmetric generator X.
 
     I + sinc(t)*X + (1/2)*sinc(t/2)^2*X^2 with t = sqrt(tr(X^T X)/2).
+    Raises OutOfRangeError when t is infinite (entries beyond ~1e154).
     """
     a, b, c = x
     theta = math.sqrt(a * a + b * b + c * c)
-    sh = sinc_guarded(0.5 * theta)
+    try:
+        sh = sinc_guarded(0.5 * theta)
+    except ValueError:   # math.sin(inf)
+        raise OutOfRangeError(f"rotation angle {theta!r} is not finite") from None
     return _rodrigues(a, b, c, sinc_guarded(theta), 0.5 * sh * sh)
 
 

@@ -6,10 +6,13 @@ normalised Z = G/l2, with coefficients built from the analytic helper
 L2(x) = (log(x) - (x-1))/(x-1). The rotation log inverts the axis-angle
 formula and keeps two guarded regimes: a Taylor form for tiny angles and a
 rank-one axis extraction near half-turns, where the antisymmetric part of R
-loses the axis. A reference-tracking variant follows rotations past 2*pi
-in one closed form: the principal angle plus the fewest whole turns that
-bring it within pi of the reference angle (a gap of exactly pi keeps the
-principal log). References beyond 1e7 rad raise OutOfRangeError.
+loses the axis. There the axis is the column of (R + R^T)/2 - cos(t) I with
+the largest diagonal entry, and the projection of (R - R^T)/2 on it gives
+both the sign of the axis and the angle. A reference-tracking variant
+follows rotations past 2*pi in one closed form: the principal angle plus
+the fewest whole turns that bring it within pi of the reference angle (a
+gap of exactly pi keeps the principal log). References beyond 1e7 rad
+raise OutOfRangeError.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ _L2_TAYLOR = 1e-3
 _SPREAD_TAYLOR = 1e-4
 _NEAR_PI = 1e-3
 _ROTATION_TOL = 1e-6
-_AXIS_COMPONENT_EPS = 1e-9
 _TWO_PI = 2.0 * math.pi
 _MAX_REF_ANGLE = 1e7
 
@@ -152,10 +154,10 @@ def log_so3(r: Mat3) -> AntiSymMat3:
 
     Generic branch: (1/(2 sinc t)) (R - R^T) with t from the trace. Near a
     half-turn the antisymmetric part degenerates, so the axis is recovered
-    from the rank-one symmetric residue (R + R^T)/2 - cos(t) I, its sign
-    fixed from the surviving antisymmetric entries, and the angle refined
-    through asin of the antisymmetric magnitude (the trace alone cannot
-    resolve t near pi).
+    as the column of the rank-one symmetric residue (R + R^T)/2 - cos(t) I
+    with the largest diagonal entry. The projection s of (R - R^T)/2 on
+    that axis gives both its sign (negated when s < 0) and the angle
+    pi - asin|s| (the trace alone cannot resolve t near pi).
     """
     _check_rotation(r)
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
@@ -180,45 +182,30 @@ def log_so3(r: Mat3) -> AntiSymMat3:
 
 
 def _log_so3_near_pi(r: Mat3, cos_t: float) -> AntiSymMat3:
-    # (R + R^T)/2 - cos(t) I equals (1 - cos t) v v^T exactly for rotations,
-    # so any of its nonzero columns is the axis, free of O(pi - t) noise
-    m11 = r.a11 - cos_t
-    m22 = r.a22 - cos_t
-    m33 = r.a33 - cos_t
-    m12 = 0.5 * (r.a12 + r.a21)
-    m13 = 0.5 * (r.a13 + r.a31)
-    m23 = 0.5 * (r.a23 + r.a32)
-    n1 = m11 * m11 + m12 * m12 + m13 * m13
-    n2 = m12 * m12 + m22 * m22 + m23 * m23
-    n3 = m13 * m13 + m23 * m23 + m33 * m33
-    if n1 >= n2 and n1 >= n3:
-        v1, v2, v3 = m11, m12, m13
-        nn = n1
-    elif n2 >= n3:
-        v1, v2, v3 = m12, m22, m23
-        nn = n2
+    # (R + R^T)/2 - cos(t) I equals (1 - cos t) k k^T exactly for the unit
+    # axis k, so its column with the largest diagonal entry (Shepperd's
+    # pivot) is the axis up to sign, free of O(pi - t) noise
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
+    m11 = a11 - cos_t
+    m22 = a22 - cos_t
+    m33 = a33 - cos_t
+    if m11 >= m22 and m11 >= m33:
+        v1, v2, v3 = m11, 0.5 * (a12 + a21), 0.5 * (a13 + a31)
+    elif m22 >= m33:
+        v1, v2, v3 = 0.5 * (a12 + a21), m22, 0.5 * (a23 + a32)
     else:
-        v1, v2, v3 = m13, m23, m33
-        nn = n3
-    inv = 1.0 / math.sqrt(nn)
+        v1, v2, v3 = 0.5 * (a13 + a31), 0.5 * (a23 + a32), m33
+    inv = 1.0 / math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
     v1 *= inv
     v2 *= inv
     v3 *= inv
-    # the extracted axis carries an arbitrary sign; the surviving
-    # antisymmetric entries decide it, falling through components that are
-    # themselves too small to be informative
-    if abs(v2) >= _AXIS_COMPONENT_EPS:
-        eps = 1.0 if v2 * (r.a13 - r.a31) >= 0.0 else -1.0
-    elif abs(v1) >= _AXIS_COMPONENT_EPS:
-        eps = 1.0 if v1 * (r.a32 - r.a23) >= 0.0 else -1.0
-    else:
-        eps = 1.0 if v3 * (r.a21 - r.a12) >= 0.0 else -1.0
-    # refine the angle from the antisymmetric magnitude: sin(t) read off
-    # (R - R^T)/2 projected on the axis stays accurate where acos saturates
-    s = abs(0.5 * ((r.a32 - r.a23) * v1 + (r.a13 - r.a31) * v2 + (r.a21 - r.a12) * v3))
-    if s > 1.0:
-        s = 1.0
-    theta = eps * (math.pi - math.asin(s))
+    # (R - R^T)/2 is sin(t) [k]x, so its projection s on v is sin(t) (k . v):
+    # |s| gives the angle where acos saturates, and the sign of s the axis
+    # direction (s = 0, an exact half-turn, keeps +pi)
+    s = 0.5 * ((a32 - a23) * v1 + (a13 - a31) * v2 + (a21 - a12) * v3)
+    theta = math.pi - math.asin(min(abs(s), 1.0))
+    if s < 0.0:
+        theta = -theta
     return AntiSymMat3(-v3 * theta, v2 * theta, -v1 * theta)
 
 

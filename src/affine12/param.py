@@ -113,7 +113,8 @@ def params_to_transform(p: AffineParam12) -> HomAffine3:
 
     Total on the whole parameter space; the result always has a
     positive-determinant linear part. Raises OverflowError for stretch
-    logs beyond the double-precision exponent range.
+    logs beyond the double-precision exponent range and OutOfRangeError
+    for a rotation log whose angle is infinite.
     """
     y = p.stretch
     eig = sym_eigenvalues(y)
@@ -166,14 +167,14 @@ def _newton_orthonormalize(r: Mat3) -> Mat3:
     the determinant.
     """
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
-    det = (a11 * (a22 * a33 - a23 * a32)
-           - a12 * (a21 * a33 - a23 * a31)
-           + a13 * (a21 * a32 - a22 * a31))
-    h = 0.5 / det
+    c11 = a22 * a33 - a23 * a32
+    c12 = a23 * a31 - a21 * a33
+    c13 = a21 * a32 - a22 * a31
+    h = 0.5 / (a11 * c11 + a12 * c12 + a13 * c13)
     return _new(Mat3, (
-        0.5 * a11 + (a22 * a33 - a23 * a32) * h,
-        0.5 * a12 + (a23 * a31 - a21 * a33) * h,
-        0.5 * a13 + (a21 * a32 - a22 * a31) * h,
+        0.5 * a11 + c11 * h,
+        0.5 * a12 + c12 * h,
+        0.5 * a13 + c13 * h,
         0.5 * a21 + (a13 * a32 - a12 * a33) * h,
         0.5 * a22 + (a11 * a33 - a13 * a31) * h,
         0.5 * a23 + (a12 * a31 - a11 * a32) * h,

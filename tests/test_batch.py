@@ -12,6 +12,7 @@ from affine12.errors import (
     IllConditionedWarning,
     NotOrientationPreservingError,
     NotPositiveDefiniteError,
+    OutOfRangeError,
 )
 from affine12.expmap import _E2_TAYLOR, _SINC_TAYLOR, exp_so3
 from affine12.expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
@@ -160,6 +161,15 @@ def test_near_and_exact_half_turns():
         exact.append(axis_angle_rotation(axis, math.pi))
         for gap in (1e-12, 1e-7, 1e-4, 5e-4):
             mats.append(axis_angle_rotation(axis, math.pi - gap))
+    # an axis component of a few ulps of sin t, where a sign read off that
+    # component alone is lost in rounding
+    for i in range(3):
+        for small in (1e-12, 3e-9, -1e-7, 1e-5):
+            axis = [0.8, -0.6]
+            axis.insert(i, small)
+            n = math.sqrt(sum(c * c for c in axis))
+            for gap in (1e-12, 1e-8, 1e-4):
+                mats.append(axis_angle_rotation([c / n for c in axis], math.pi - gap))
     for group in (mats, exact):
         stretched = [mat_mul(m, Mat3(1.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.7)) for m in group]
         _check_inverse(group)
@@ -226,6 +236,13 @@ def test_same_typed_errors_and_warnings_naming_the_row():
             params_to_transform(AffineParam12.from_vector(p))
         with pytest.raises(OverflowError, match="row 1"):
             params_to_transforms(np.array([[0.0] * 12, p]))
+
+    # a rotation log whose angle overflows to inf: the scalar path's error, not NaN rows
+    p = [0.0] * 3 + [1e200, 0.0, 0.0] + [0.0] * 6
+    with pytest.raises(OutOfRangeError, match="rotation angle inf"):
+        params_to_transform(AffineParam12.from_vector(p))
+    with pytest.raises(OutOfRangeError, match=r"^row 2: rotation angle inf is not finite$"):
+        params_to_transforms(np.array([[0.0] * 12, [0.0] * 12, p, p]))
 
 
 def test_shapes():

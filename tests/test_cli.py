@@ -146,6 +146,15 @@ class TestParamUnparam:
             f"error: {src}: transforms[1]: exp of leading eigenvalue 800.0 "
             "is not representable\n")
 
+    def test_unparam_infinite_rotation_angle_names_the_entry(self, tmp_path, capsys):
+        # the rotation log's angle overflows to inf when measured
+        src = tmp_path / "big.json"
+        write_transforms(src, [{"param": [0.0] * 12},
+                               {"param": [0, 0, 0, 1e200, 0, 0, 0, 0, 0, 0, 0, 0]}])
+        assert main(["unparam", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[1]: rotation angle inf is not finite\n")
+
     def test_consistent_with_library_error_names_the_entry(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         refs = tmp_path / "refs.json"

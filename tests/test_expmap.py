@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affine12.errors import OutOfRangeError
 from affine12.expmap import (
     exp_quad_coeff,
     exp_so3,
@@ -22,6 +23,7 @@ from affine12.linalg3 import (
     sym_poly2,
 )
 from affine12.oracle import matfun_diag
+from affine12.param import AffineParam12, params_to_transform
 from conftest import (
     antisym_scale,
     exp_antisym_series,
@@ -79,6 +81,20 @@ class TestExpSo3:
             v1, v2, v3 = axis
             x = AntiSymMat3(-v3 * angle, v2 * angle, -v1 * angle)
             assert mat_dist(exp_so3(x), exp_antisym_series(x)) <= 1e-12
+
+    @pytest.mark.parametrize("entries", [(1e200, 0.0, 0.0), (0.0, 0.0, math.inf),
+                                         (1e160, -1e160, 0.0)])
+    def test_infinite_angle_raises_out_of_range(self, entries):
+        # the angle overflows to inf (or is inf): typed, not math's ValueError
+        with pytest.raises(OutOfRangeError, match=r"^rotation angle inf is not finite$"):
+            exp_so3(AntiSymMat3(*entries))
+        p = AffineParam12.from_vector([0.0] * 3 + list(entries) + [0.0] * 6)
+        with pytest.raises(OutOfRangeError, match="rotation angle inf"):
+            params_to_transform(p)
+
+    def test_huge_finite_angle_still_maps(self):
+        r = exp_so3(AntiSymMat3(1e150, 0.0, 0.0))
+        assert mat_dist(mat_mul(r, exp_so3(AntiSymMat3(-1e150, 0.0, 0.0))), MAT3_IDENTITY) <= 1e-12
 
     @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=3, max_size=3))
     def test_inverse_property(self, entries):

@@ -2,11 +2,13 @@ import math
 import random
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine12 import logmap
+from affine12.batch import _log_so3, params_to_transforms, transforms_to_params
 from affine12.errors import NotARotationError, NotPositiveDefiniteError, OutOfRangeError
 from affine12.expmap import exp_so3, exp_sym3
 from affine12.linalg3 import (
@@ -14,6 +16,7 @@ from affine12.linalg3 import (
     AntiSymMat3,
     Mat3,
     SymMat3,
+    Vec3,
     antisym_angle,
     gram,
     mat_mul,
@@ -21,6 +24,7 @@ from affine12.linalg3 import (
     sym_square,
 )
 from affine12.logmap import (
+    _NEAR_PI,
     consistent_log_so3,
     inv_sqrt_spd,
     log_quad_coeff,
@@ -28,6 +32,7 @@ from affine12.logmap import (
     log_spd_half_gram,
 )
 from affine12.oracle import matfun_diag
+from affine12.param import HomAffine3, params_to_transform, transform_to_params
 from conftest import (
     axis_angle_rotation,
     conjugate_spectrum,
@@ -158,6 +163,84 @@ HALF_TURNS = (Mat3(1.0, 0, 0, 0, -1.0, 0, 0, 0, -1.0),
 
 unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda v: math.hypot(*v) > 1e-3).map(lambda v: tuple(c / math.hypot(*v) for c in v))
+
+
+def unit_generator(v, angle: float) -> AntiSymMat3:
+    """The generator angle * v/|v|, v given as its packed entries (m12, m13, m23)."""
+    n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return AntiSymMat3(*(c / n * angle for c in v))
+
+
+def batch_log_so3(r: Mat3) -> AntiSymMat3:
+    """batch._log_so3 of the single rotation r."""
+    x = _log_so3(Mat3(*(np.array([c]) for c in r)))
+    return AntiSymMat3(*(float(c[0]) for c in x))
+
+
+def batch_exp_so3(x: AntiSymMat3) -> Mat3:
+    """The rotation of x through batch.params_to_transforms (zero stretch log)."""
+    lin, _ = params_to_transforms(np.array([[0.0] * 3 + list(x) + [0.0] * 6]))
+    return Mat3(*lin[0].ravel())
+
+
+def small_component_axis(t) -> tuple[float, float, float]:
+    """Entry i is sign * 10**e, in [1e-12, 1e-5]; the other two lie on a circle at angle phi."""
+    i, e, sign, phi = t
+    axis = [math.cos(phi), math.sin(phi)]
+    axis.insert(i, sign * 10.0 ** e)
+    return tuple(axis)
+
+
+# one axis component times sin t sits below the rounding of R's entries (a, b)
+# or below a 1e-10 change of one of them (c): a sign read off that component
+# alone is lost
+CASE_A = exp_so3(unit_generator((1.0, 3e-9, 0.6), math.pi - 1e-8))
+CASE_B = mat_mul(CASE_A, Mat3(2.0, 0, 0, 0, 1.0, 0, 0, 0, 0.5))
+_R_C = exp_so3(unit_generator((1.0, 1e-7, 0.6), math.pi - 1e-4))
+CASE_C = _R_C._replace(a13=_R_C.a13 - 1e-10)
+
+
+class TestLogSo3NearPiSign:
+    """The axis projection s that gives the near-pi angle also gives the sign."""
+
+    @pytest.mark.parametrize("log", [log_so3, batch_log_so3])
+    def test_small_axis_component(self, log):
+        assert mat_dist(exp_so3(log(CASE_A)), CASE_A) <= 1e-14
+        assert mat_dist(batch_exp_so3(log(CASE_A)), CASE_A) <= 1e-14
+
+    def test_stretched_small_axis_component(self):
+        a = HomAffine3(CASE_B, Vec3(0.0, 0.0, 0.0))
+        back = params_to_transform(transform_to_params(a))
+        assert mat_dist(back.linear, CASE_B) <= 1e-14
+        lin, _ = params_to_transforms(transforms_to_params(np.array([CASE_B]).reshape(1, 3, 3),
+                                                           np.zeros((1, 3))))
+        assert mat_dist(Mat3(*lin[0].ravel()), CASE_B) <= 1e-14
+
+    @pytest.mark.parametrize("log", [log_so3, batch_log_so3])
+    def test_perturbed_entry_costs_only_its_own_size(self, log):
+        # a13 lowered by 1e-10: the nearest rotation is ~1e-10 away
+        assert mat_dist(exp_so3(log(CASE_C)), CASE_C) <= 2e-10
+        assert mat_dist(batch_exp_so3(log(CASE_C)), CASE_C) <= 2e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis=st.one_of(
+               st.tuples(st.integers(0, 2), st.floats(-12.0, -5.0), st.sampled_from((-1.0, 1.0)),
+                         st.floats(0.0, 2.0 * math.pi)).map(small_component_axis),
+               unit_axes),
+           gap=st.floats(-12.0, -3.0, exclude_max=True).map(lambda e: 10.0 ** e),
+           perturbation=st.lists(st.floats(-1e-10, 1e-10), min_size=9, max_size=9))
+    def test_near_pi_round_trip_property(self, axis, gap, perturbation):
+        r = exp_so3(unit_generator(axis, math.pi - gap))
+        perturbed = Mat3(*(a + d for a, d in zip(r, perturbation)))
+        size = math.sqrt(sum(d * d for d in perturbation))
+        # within rounding of the switch the trace may read pi - t >= _NEAR_PI,
+        # and the generic branch takes the axis from (R - R^T)/2, whose error
+        # is eps + size against its norm sin t: the bounds grow by 1/sin t there
+        generic = math.pi - antisym_angle(log_so3(r)) >= _NEAR_PI * (1.0 - 1e-9)
+        amp = 1.0 / math.sin(gap) if generic else 1.0
+        for log in (log_so3, batch_log_so3):
+            assert mat_dist(exp_so3(log(r)), r) <= 1e-14 * amp
+            assert mat_dist(exp_so3(log(perturbed)), perturbed) <= (10.0 * size + 1e-14) * amp
 
 
 class TestConsistentLog:
