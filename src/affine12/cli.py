@@ -43,7 +43,7 @@ from .bench import (
     write_csv,
 )
 from .blend import CURVE_KINDS, PoseTrack, interpolate_pose
-from .errors import Affine12Error, FileFormatError, SolverNotConvergedError
+from .errors import Affine12Error, FileFormatError, NonFiniteInputError, SolverNotConvergedError
 from .linalg3 import mat_det
 from .meshblend import CompatibleSet, blend_shapes, load_obj, write_obj
 from .param import (
@@ -165,7 +165,7 @@ def load_track(path: str) -> PoseTrack:
         times.append(float(t))
     try:
         return PoseTrack(tuple(knots), tuple(times))
-    except ValueError as exc:
+    except (ValueError, NonFiniteInputError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 

@@ -55,15 +55,15 @@ class AffineParam12(NamedTuple):
 
     def to_vector(self) -> tuple[float, ...]:
         """Flatten in the fixed serialization order (translation, rotation, stretch)."""
-        return tuple(self.translation) + tuple(self.rotation) + tuple(self.stretch)
+        return (*self.translation, *self.rotation, *self.stretch)
 
     @classmethod
     def from_vector(cls, v) -> "AffineParam12":
         if len(v) != 12:
             raise ValueError(f"expected 12 components, got {len(v)}")
-        return cls(Vec3(v[0], v[1], v[2]),
-                   AntiSymMat3(v[3], v[4], v[5]),
-                   SymMat3(v[6], v[7], v[8], v[9], v[10], v[11]))
+        return _new(cls, (_new(Vec3, (v[0], v[1], v[2])),
+                          _new(AntiSymMat3, (v[3], v[4], v[5])),
+                          _new(SymMat3, (v[6], v[7], v[8], v[9], v[10], v[11]))))
 
     @classmethod
     def zero(cls) -> "AffineParam12":
@@ -97,10 +97,10 @@ class HomAffine3(NamedTuple):
     def from_rows(cls, rows) -> "HomAffine3":
         if len(rows) != 12:
             raise ValueError(f"expected 12 entries of a 3x4 block, got {len(rows)}")
-        return cls(Mat3(rows[0], rows[1], rows[2],
-                        rows[4], rows[5], rows[6],
-                        rows[8], rows[9], rows[10]),
-                   Vec3(rows[3], rows[7], rows[11]))
+        return _new(cls, (_new(Mat3, (rows[0], rows[1], rows[2],
+                                      rows[4], rows[5], rows[6],
+                                      rows[8], rows[9], rows[10])),
+                          _new(Vec3, (rows[3], rows[7], rows[11]))))
 
 
 def transform_distance2(a: HomAffine3, b: HomAffine3) -> float:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine12.blend import (
     PoseTrack,
@@ -54,6 +56,16 @@ class TestBlend:
             WeightedTransforms((), ())
         with pytest.raises(ValueError):
             WeightedTransforms((HomAffine3.identity(),), (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected_by_index(self, rng, bad):
+        a = _rand_affine(rng)
+        with pytest.raises(NonFiniteInputError, match=r"weight 1 is not finite"):
+            WeightedTransforms((a, a, a), (0.5, bad, 0.25))
+        with pytest.raises(NonFiniteInputError, match=r"weight 0 is not finite"):
+            blend(WeightedTransforms((a, a), (bad, 0.5)))
+        with pytest.raises(NonFiniteInputError, match=r"weight 2 is not finite"):
+            deform_point(Vec3(0.0, 0.0, 0.0), [a, a, a], [0.5, 0.5, bad])
 
     def test_unit_weight_interpolates(self, rng):
         transforms = tuple(_rand_affine(rng) for _ in range(4))
@@ -257,6 +269,40 @@ def _ref_de_boor(vectors, times, t):
     return pts[degree]
 
 
+def _ref_cox_de_boor(vectors, times, t):
+    """The generic Cox-de Boor ratio loop of degree min(3, n - 1), per call."""
+    n = len(vectors)
+    degree = min(3, n - 1)
+    interior = n - degree - 1
+    knots = ((0.0,) * (degree + 1)
+             + tuple(j / (interior + 1) for j in range(1, interior + 1))
+             + (1.0,) * (degree + 1))
+    u = (t - times[0]) / (times[-1] - times[0])
+    k = min(max(bisect.bisect_right(knots, u) - 1, degree), n - 1)
+    weights = [1.0]
+    for r in range(1, degree + 1):
+        nxt = [0.0] * (r + 1)
+        for i, w in enumerate(weights):
+            lo = knots[k - r + 1 + i]
+            alpha = (u - lo) / (knots[k + 1 + i] - lo)
+            nxt[i] += (1.0 - alpha) * w
+            nxt[i + 1] += alpha * w
+        weights = nxt
+    rows = vectors[k - degree:k + 1]
+    out = [weights[0] * x for x in rows[0]]
+    for w, row in zip(weights[1:], rows[1:]):
+        out = [o + w * x for o, x in zip(out, row)]
+    return out
+
+
+def _span_boundary_times(track):
+    """Interior knot times and the times of the B-spline's interior knots."""
+    t0, t1 = track.times[0], track.times[-1]
+    pieces = max(len(track.times) - 3, 1)
+    spline = [t0 + (t1 - t0) * (j / pieces) for j in range(1, pieces)]
+    return list(track.times[1:-1]), spline
+
+
 def _random_track(rng, n):
     knots = tuple(AffineParam12.from_vector([rng.uniform(-2.0, 2.0) for _ in range(12)])
                   for _ in range(n))
@@ -296,6 +342,28 @@ class TestPreparedTrack:
         assert _eval_bspline(track, track.times[0]) == list(vectors[0])
         assert _eval_bspline(track, track.times[-1]) == list(vectors[-1])
 
+    @pytest.mark.parametrize("n", [4, 5, 12])
+    def test_bspline_matches_cox_de_boor_loop_bit_for_bit(self, rng, n):
+        track = _random_track(rng, n)
+        vectors = [k.to_vector() for k in track.knots]
+        _, spline = _span_boundary_times(track)
+        for t in _sample_times(rng, track) + spline:
+            got = _eval_bspline(track, t)
+            assert _bits(got) == _bits(_ref_cox_de_boor(vectors, track.times, t))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_short_bspline_is_its_degree_elevation(self, rng, n):
+        # the cubic control rows trace the line or quadratic of the loop
+        track = _random_track(rng, n)
+        vectors = [k.to_vector() for k in track.knots]
+        scale = max(abs(x) for v in vectors for x in v)
+        for t in _sample_times(rng, track):
+            got = _eval_bspline(track, t)
+            want = _ref_cox_de_boor(vectors, track.times, t)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-14 * scale
+        assert _eval_bspline(track, track.times[0]) == list(vectors[0])
+        assert _eval_bspline(track, track.times[-1]) == list(vectors[-1])
+
     def test_equality_hash_and_repr_ignore_prepared_fields(self, rng):
         a = _random_track(rng, 5)
         b = PoseTrack(list(a.knots), [float(t) for t in a.times])
@@ -314,6 +382,58 @@ class TestPreparedTrack:
         p = AffineParam12.zero()
         with pytest.raises(NonFiniteInputError, match="time 1 "):
             PoseTrack((p, p), (0.0, math.inf))
+
+    def test_overflowing_time_span_rejected(self):
+        # each time is finite, but the curves would divide by an infinite span
+        p = AffineParam12.zero()
+        with pytest.raises(NonFiniteInputError, match="time span -1e[+]308 to 1e[+]308"):
+            PoseTrack((p, p, p), (-1e308, 0.0, 1e308))
+        PoseTrack((p, p), (-8e307, 8e307))
+
+
+@st.composite
+def _tracks(draw):
+    n = draw(st.integers(2, 12))
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = draw(st.lists(st.lists(entry, min_size=12, max_size=12), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    times = [draw(st.floats(-100.0, 100.0))]
+    for g in gaps:
+        times.append(times[-1] + g)
+    return PoseTrack(tuple(AffineParam12.from_vector(r) for r in rows), tuple(times))
+
+
+_EVALUATORS = {"linear": _eval_linear, "hermite": _eval_hermite, "bspline": _eval_bspline}
+
+
+class TestCurveProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_tracks())
+    def test_finite_continuous_and_bspline_ends_exact(self, track):
+        t0, t1 = track.times[0], track.times[-1]
+        knot_times, spline = _span_boundary_times(track)
+        # every curve moves at most this far per unit time (slope bound)
+        shortest = min(min(b - a for a, b in zip(track.times, track.times[1:])),
+                       (t1 - t0) / max(len(track.times) - 3, 1))
+        slope = 100.0 * 4.0 / shortest
+        for curve, evaluate in _EVALUATORS.items():
+            boundaries = spline if curve == "bspline" else knot_times
+            for tb in boundaries:
+                # a few ulps either side, so rounding in the span lookup
+                # cannot keep both neighbours in one span
+                step = 4.0 * math.ulp(max(abs(t0), abs(t1)))
+                lo, hi = tb - step, tb + step
+                left, mid, right = (evaluate(track, t) for t in (lo, tb, hi))
+                tol = 1e-12 + slope * (hi - lo)
+                for a, b, c in zip(left, mid, right):
+                    assert abs(a - b) <= tol and abs(c - b) <= tol
+            for t in [t0, t1] + boundaries + [t0 + (t1 - t0) * i / 8 for i in range(1, 8)]:
+                t = min(max(t, t0), t1)
+                out = interpolate_pose(track, t, curve=curve)
+                assert all(map(math.isfinite, out.to_rows()))
+        for t, knot in ((t0, track.knots[0]), (t1, track.knots[-1])):
+            assert _eval_bspline(track, t) == list(knot.to_vector())
+            assert interpolate_pose(track, t, curve="bspline") == params_to_transform(knot)
 
 
 class TestClassClosureSample:

@@ -345,6 +345,15 @@ class TestInterpCommand:
         track.write_text(json.dumps({"knots": knots}))
         assert main(["interp", str(track), "--samples", "5"]) == 2
 
+    def test_overflowing_time_span_rejected(self, tmp_path, capsys):
+        track = tmp_path / "track.json"
+        knots = [{"time": -1e308, "matrix": IDENTITY_ROWS},
+                 {"time": 1e308, "matrix": IDENTITY_ROWS}]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {track}: time span -1e+308 to 1e+308 is not finite\n")
+
 
 class TestMeshblendCommand:
     def test_zero_weights_reproduce_rest(self, tmp_path):

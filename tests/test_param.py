@@ -63,6 +63,37 @@ class TestVectorPacking:
         assert p.to_vector() == tuple(float(i) for i in range(1, 13))
         assert AffineParam12.from_vector(list(range(1, 13))) == p
 
+    def test_records_have_the_public_types(self):
+        v = [0.5 * i - 3.0 for i in range(12)]
+        p = AffineParam12.from_vector(v)
+        assert type(p) is AffineParam12
+        assert type(p.translation) is Vec3
+        assert type(p.rotation) is AntiSymMat3
+        assert type(p.stretch) is SymMat3
+        assert p.translation == Vec3(*v[0:3])
+        assert p.rotation == AntiSymMat3(*v[3:6])
+        assert p.stretch == SymMat3(*v[6:12])
+        assert p.stretch.yz == v[10]
+        out = p.to_vector()
+        assert type(out) is tuple
+        assert out == tuple(v)
+
+        a = HomAffine3.from_rows(v)
+        assert type(a) is HomAffine3
+        assert type(a.linear) is Mat3
+        assert type(a.translation) is Vec3
+        assert a.linear == Mat3(v[0], v[1], v[2], v[4], v[5], v[6], v[8], v[9], v[10])
+        assert a.translation == Vec3(v[3], v[7], v[11])
+        assert a.linear.a23 == v[6] and a.translation.z == v[11]
+        assert a.to_rows() == tuple(v)
+
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match=f"expected 12 components, got {size}"):
+            AffineParam12.from_vector([0.0] * size)
+        with pytest.raises(ValueError, match=f"got {size}"):
+            HomAffine3.from_rows([0.0] * size)
+
     def test_antisym_packing(self):
         from conftest import antisym_to_mat3
 

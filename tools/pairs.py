@@ -1,0 +1,122 @@
+"""Run the benchmark in pairs: the committed parent against the working tree.
+
+    python3 tools/pairs.py --workload animate --seed 5 --pairs 5
+
+The parent is `HEAD`, exported with `git archive` into a temporary
+directory that is removed when the script ends (an export, not a
+`git worktree`, so an interrupted run leaves nothing in `.git`). The change
+is the working tree of this checkout. Each pair runs the parent first and
+then the change, each as the `command` of BENCHMARK.json
+(`perfbench/run.py`) from its own checkout root, with `--seconds` set to
+BENCHMARK.json's `run_seconds` and `--trace 0`. Progress goes to stderr.
+
+Stdout is one JSON object whose `workloads` block has the shape of the
+committed BENCH_*.json files: per workload a list with one entry for the
+seed, holding the failed and attempted counts of every run and, for each
+end-to-end metric of BENCHMARK.json, the median, q1, q3 (linear
+interpolation) and runs of each side, `change_frac` (change median /
+parent median - 1) and `within_bound` (the change is worse than the parent
+by at most the metric's bound, as a fraction of the parent median).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("convert", "animate", "meshblend", "cli_batch")
+
+
+def _parse(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--workload", required=True, choices=WORKLOADS)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    return args
+
+
+def _git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def _export_head(dest: str) -> str:
+    """Write the files of HEAD into dest; return the commit id."""
+    commit = _git("rev-parse", "HEAD").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def _run(command, root: str, workload: str, seed: int, seconds: float) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv)} in {root} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive") \
+        if len(runs) > 1 else (runs[0],) * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
+
+
+def _metric(spec: dict, parent: list[float], change: list[float]) -> dict:
+    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+           "parent": _summary(parent), "change": _summary(change)}
+    base = out["parent"]["median"]
+    frac = out["change"]["median"] / base - 1.0 if base else 0.0
+    worse = frac if spec["better"] == "lower" else -frac
+    out["change_frac"] = round(frac, 4)
+    out["within_bound"] = worse <= spec["bound"]
+    return out
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    seconds = float(bench["run_seconds"])
+    results = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        commit = _export_head(tmp)
+        roots = {"parent": tmp, "change": ROOT}
+        for k in range(args.pairs):
+            for side in ("parent", "change"):
+                res = _run(bench["command"], roots[side], args.workload, args.seed, seconds)
+                results[side].append(res)
+                best = res["metrics"]["op_best_ms"]["value"]
+                print(f"pair {k + 1}/{args.pairs} {side}: op_best_ms {best}",
+                      file=sys.stderr, flush=True)
+    entry = {
+        "seed": args.seed, "seconds": seconds, "trace": 0, "pairs": args.pairs,
+        "failed": {s: [r["failed"] for r in results[s]] for s in results},
+        "attempted": {s: [r["attempted"] for r in results[s]] for s in results},
+        "correct": all(r["correct"] for s in results for r in results[s]),
+        "metrics": {m["name"]: _metric(m, *([r["metrics"][m["name"]]["value"] for r in results[s]]
+                                            for s in ("parent", "change")))
+                    for m in bench["end_to_end"]},
+    }
+    print(json.dumps({"parent_commit": commit,
+                      "command": [*bench["command"], "--workload", args.workload,
+                                  "--seed", str(args.seed), "--seconds", repr(seconds),
+                                  "--trace", "0"],
+                      "workloads": {args.workload: [entry]}}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
