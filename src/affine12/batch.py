@@ -3,14 +3,14 @@
 The closed-form kernels need no eigenvectors and no iteration, so a batch
 of N transforms runs as a fixed sequence of array operations. Every regime
 switch of the scalar path (series forms, the confluent spectrum, the
-half-turn axis extraction, the Newton skip, the l3 <= 0 recovery, the
-diagonal shortcut) becomes an ``np.where`` over the batch with the same
-threshold, imported from the scalar module that owns it; the branch not
-taken is evaluated on a guarded denominator so it computes nothing
-undefined. The branch-free arithmetic is the scalar code itself: the
-linalg3 formulas, the Rodrigues assembly of exp_so3, the orthogonality
-defect of log_so3 and the Newton orthonormalisation step take arrays in
-place of floats.
+obtuse-angle axis of the rotation log, the Newton skip, the l3 <= 0
+recovery, the diagonal shortcut, sinc at 0) becomes an ``np.where`` over
+the batch with the same test, its threshold imported from the scalar
+module that owns it; the branch not taken is evaluated on a guarded
+denominator so it computes nothing undefined. The branch-free arithmetic
+is the scalar code itself: the linalg3 formulas, the Rodrigues assembly
+of exp_so3, the orthogonality defect of log_so3 and the Newton
+orthonormalisation step take arrays in place of floats.
 
 Each row agrees with transform_to_params / params_to_transform to
 roundoff (the NumPy transcendentals may differ from libm by an ulp). The
@@ -32,7 +32,7 @@ from .errors import (
     NotPositiveDefiniteError,
     OutOfRangeError,
 )
-from .expmap import _E2_TAYLOR, _EXP_ARG_MAX, _SINC_TAYLOR, _rodrigues
+from .expmap import _E2_TAYLOR, _EXP_ARG_MAX, _rodrigues
 from .expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
 from .linalg3 import (
     _MIN_NORMAL,
@@ -48,7 +48,7 @@ from .linalg3 import (
     sym_poly2,
     sym_scale,
 )
-from .logmap import _L2_TAYLOR, _NEAR_PI, _ROTATION_TOL, _orth_defect2
+from .logmap import _L2_TAYLOR, _ROTATION_TOL, _orth_defect2
 from .logmap import _SPREAD_TAYLOR as _LOG_SPREAD_TAYLOR
 from .param import _ILL_CONDITIONED_DET, _NEWTON_SKIP, _newton_orthonormalize
 
@@ -176,9 +176,9 @@ def _refined_gram_eig(g: SymMat3, det_linear: np.ndarray) -> SymEig3:
 
 
 def _sinc(theta):
-    series = np.abs(theta) < _SINC_TAYLOR
-    t = _safe(theta, series)
-    return np.where(series, 1.0 - theta * theta / 6.0, np.sin(t) / t)
+    zero = theta == 0.0
+    t = _safe(theta, zero)
+    return np.where(zero, 1.0, np.sin(t) / t)
 
 
 def _exp_quad_coeff(x):
@@ -261,7 +261,7 @@ def _exp_so3(x: AntiSymMat3) -> Mat3:
 
 
 def _log_so3(r: Mat3) -> AntiSymMat3:
-    """logmap.log_so3 over a batch, both regimes evaluated and selected per row."""
+    """logmap.log_so3 over a batch, both sides of cos t = 0 evaluated and selected per row."""
     resid2 = _orth_defect2(r)
     i = _first(resid2 > _ROTATION_TOL * _ROTATION_TOL)
     if i is not None:
@@ -271,33 +271,30 @@ def _log_so3(r: Mat3) -> AntiSymMat3:
     if i is not None:
         raise NotARotationError(f"row {i}: determinant is not positive")
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
-    cos_t = np.clip(0.5 * (a11 + a22 + a33 - 1.0), -1.0, 1.0)
+    cos_t = 0.5 * (a11 + a22 + a33 - 1.0)
     h12 = 0.5 * (a12 - a21)
     h13 = 0.5 * (a13 - a31)
     h23 = 0.5 * (a23 - a32)
-    sin_t = np.minimum(np.sqrt(h12 * h12 + h13 * h13 + h23 * h23), 1.0)
+    sin_t = np.sqrt(h12 * h12 + h13 * h13 + h23 * h23)
     theta = np.arctan2(sin_t, cos_t)
-    small = theta < _SINC_TAYLOR
-    inv_sinc = np.where(small, 1.0 / _sinc(theta), theta / _safe(sin_t, sin_t == 0.0))
+    acute = cos_t >= 0.0
+    zero = sin_t == 0.0
+    inv_sinc = np.where(zero, 1.0, theta / _safe(sin_t, zero))
 
-    # half-turn regime: the axis is the column of (R + R^T)/2 - cos(t) I with the
-    # largest diagonal entry, its direction the sign of s, the angle asin |s|
-    m11, m22, m33 = a11 - cos_t, a22 - cos_t, a33 - cos_t
-    m12 = 0.5 * (a12 + a21)
-    m13 = 0.5 * (a13 + a31)
-    m23 = 0.5 * (a23 + a32)
-    col1 = (m11 >= m22) & (m11 >= m33)
-    col2 = ~col1 & (m22 >= m33)
+    # obtuse rows: the axis is the column of R + R^T - 2 cos(t) I with the
+    # largest diagonal entry, directed by the sign of the projection of h on it
+    m11, m22, m33 = 2.0 * (a11 - cos_t), 2.0 * (a22 - cos_t), 2.0 * (a33 - cos_t)
+    m12 = a12 + a21
+    m13 = a13 + a31
+    m23 = a23 + a32
+    col1 = (a11 >= a22) & (a11 >= a33)
+    col2 = ~col1 & (a22 >= a33)
     v1 = np.where(col1, m11, np.where(col2, m12, m13))
     v2 = np.where(col1, m12, np.where(col2, m22, m23))
     v3 = np.where(col1, m13, np.where(col2, m23, m33))
     nn = v1 * v1 + v2 * v2 + v3 * v3
-    inv = 1.0 / np.sqrt(_safe(nn, nn == 0.0))
-    v1, v2, v3 = v1 * inv, v2 * inv, v3 * inv
-    s = 0.5 * ((a32 - a23) * v1 + (a13 - a31) * v2 + (a21 - a12) * v3)
-    theta_pi = np.where(s < 0.0, -1.0, 1.0) * (math.pi - np.arcsin(np.minimum(np.abs(s), 1.0)))
-
-    generic = math.pi - theta >= _NEAR_PI
-    return AntiSymMat3(np.where(generic, h12 * inv_sinc, -v3 * theta_pi),
-                       np.where(generic, h13 * inv_sinc, v2 * theta_pi),
-                       np.where(generic, h23 * inv_sinc, -v1 * theta_pi))
+    scale = theta / np.sqrt(_safe(nn, nn == 0.0))
+    scale = np.where(h13 * v2 - h23 * v1 - h12 * v3 < 0.0, -scale, scale)
+    return AntiSymMat3(np.where(acute, h12 * inv_sinc, -v3 * scale),
+                       np.where(acute, h13 * inv_sinc, v2 * scale),
+                       np.where(acute, h23 * inv_sinc, -v1 * scale))

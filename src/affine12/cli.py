@@ -303,11 +303,14 @@ def _cmd_meshblend(args) -> int:
 
 def _cmd_bench(args) -> int:
     reports = []
-    if args.kind in ("roundtrip", "both"):
-        reports.append(roundtrip_error_stats(args.n, det_floor=args.det_floor,
-                                             seed=args.seed))
-    if args.kind in ("timing", "both"):
-        reports.append(timing_run(args.n, seed=args.seed, det_floor=args.det_floor))
+    try:
+        if args.kind in ("roundtrip", "both"):
+            reports.append(roundtrip_error_stats(args.n, det_floor=args.det_floor,
+                                                 seed=args.seed))
+        if args.kind in ("timing", "both"):
+            reports.append(timing_run(args.n, seed=args.seed, det_floor=args.det_floor))
+    except ValueError as exc:   # the bench functions check their own arguments
+        raise _UsageError(f"bench: {exc}") from None
     with _output(args.output) as fh:
         for r in reports:
             write_csv(r, fh)

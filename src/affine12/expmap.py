@@ -5,8 +5,10 @@ exponential avoids diagonalisation: with the spectrum from the analytic
 cubic solver, exp(Y) reduces by Cayley-Hamilton to the quadratic
 exp(l2) * (I + b*Z + c*Z^2) in Z = Y - l2*I, whose coefficients come from
 divided differences of the analytic helper e2(x) = (exp(x) - 1 - x)/x^2.
-All small-denominator regimes switch to short Taylor forms whose truncation
-error sits below double-precision roundoff at the switch point.
+The divided differences switch to short Taylor forms at small denominators,
+whose truncation error sits below double-precision roundoff at the switch
+point. sin(t)/t needs no series: the quotient is accurate to an ulp down to
+the smallest double, so only t = 0 is guarded.
 """
 
 from __future__ import annotations
@@ -26,17 +28,14 @@ from .linalg3 import (
 # log of the largest representable double; exp of anything above overflows
 _EXP_ARG_MAX = 709.782712893384
 
-# switch points for the guarded scalar helpers
-_SINC_TAYLOR = 1e-4
+# switch points for the series forms of the guarded helpers
 _E2_TAYLOR = 1e-4
 _SPREAD_TAYLOR = 1e-4
 
 
 def sinc_guarded(theta: float) -> float:
-    """sin(t)/t with the quadratic Taylor form below |t| = 1e-4."""
-    if abs(theta) < _SINC_TAYLOR:
-        return 1.0 - theta * theta / 6.0
-    return math.sin(theta) / theta
+    """sin(t)/t, with its limit 1 at t = 0."""
+    return math.sin(theta) / theta if theta else 1.0
 
 
 def exp_quad_coeff(x: float) -> float:

@@ -4,15 +4,17 @@ The SPD path mirrors the symmetric exponential: eigenvalues from the cubic
 solver, then log(S) = (1/2)*((a + log l2)*I - (a+c)*Z + c*Z^2) on the
 normalised Z = G/l2, with coefficients built from the analytic helper
 L2(x) = (log(x) - (x-1))/(x-1). The rotation log inverts the axis-angle
-formula and keeps two guarded regimes: a Taylor form for tiny angles and a
-rank-one axis extraction near half-turns, where the antisymmetric part of R
-loses the axis. There the axis is the column of (R + R^T)/2 - cos(t) I with
-the largest diagonal entry, and the projection of (R - R^T)/2 on it gives
-both the sign of the axis and the angle. A reference-tracking variant
-follows rotations past 2*pi in one closed form: the principal angle plus
-the fewest whole turns that bring it within pi of the reference angle (a
-gap of exactly pi keeps the principal log). References beyond 1e7 rad
-raise OutOfRangeError.
+formula with one test, the sign of cos t. The angle is always
+atan2(sin t, cos t), with sin t the norm of (R - R^T)/2. Acute rotations
+take the axis from that antisymmetric part. Obtuse ones take it from the
+rank-one residue R + R^T - 2 cos(t) I, because the antisymmetric part,
+of norm sin t, amplifies any error in R by 1/sin t toward the half-turn.
+There the projection of (R - R^T)/2 on the axis gives only its sign. No
+series or clamp is needed: plain t/sin t is accurate down to the smallest
+double. A reference-tracking variant follows rotations past 2*pi in one
+closed form: the principal angle plus the fewest whole turns that bring it
+within pi of the reference angle (a gap of exactly pi keeps the principal
+log). References beyond 1e7 rad raise OutOfRangeError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotARotationError, NotPositiveDefiniteError, OutOfRangeError
-from .expmap import _SINC_TAYLOR, exp_sym3_with_eig, sinc_guarded
+from .expmap import exp_sym3_with_eig
 from .linalg3 import (
     AntiSymMat3,
     Mat3,
@@ -33,7 +35,6 @@ from .linalg3 import (
 
 _L2_TAYLOR = 1e-3
 _SPREAD_TAYLOR = 1e-4
-_NEAR_PI = 1e-3
 _ROTATION_TOL = 1e-6
 _TWO_PI = 2.0 * math.pi
 _MAX_REF_ANGLE = 1e7
@@ -152,61 +153,43 @@ def _check_rotation(r: Mat3) -> None:
 def log_so3(r: Mat3) -> AntiSymMat3:
     """Principal logarithm of a rotation matrix, angle in [0, pi].
 
-    Generic branch: (1/(2 sinc t)) (R - R^T) with t from the trace. Near a
-    half-turn the antisymmetric part degenerates, so the axis is recovered
-    as the column of the rank-one symmetric residue (R + R^T)/2 - cos(t) I
-    with the largest diagonal entry. The projection s of (R - R^T)/2 on
-    that axis gives both its sign (negated when s < 0) and the angle
-    pi - asin|s| (the trace alone cannot resolve t near pi).
+    The angle is atan2(sin t, cos t), with cos t from the trace and sin t
+    the norm of h = (R - R^T)/2; the branch test is the sign of cos t.
+    Acute angles return h t/sin t (h itself at sin t = 0). Obtuse angles,
+    where h degenerates toward the half-turn, take the axis as the column
+    of R + R^T - 2 cos(t) I with the largest diagonal entry (Shepperd's
+    pivot), directed by the sign of the projection of h on it.
     """
     _check_rotation(r)
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
     cos_t = 0.5 * (a11 + a22 + a33 - 1.0)
-    if cos_t > 1.0:
-        cos_t = 1.0
-    elif cos_t < -1.0:
-        cos_t = -1.0
     h12 = 0.5 * (a12 - a21)
     h13 = 0.5 * (a13 - a31)
     h23 = 0.5 * (a23 - a32)
     sin_t = math.sqrt(h12 * h12 + h13 * h13 + h23 * h23)
-    if sin_t > 1.0:
-        sin_t = 1.0
     theta = math.atan2(sin_t, cos_t)
-    if math.pi - theta >= _NEAR_PI:
-        # sinc evaluated from the measured sine, not sin(acos(.)), which
-        # would lose relative accuracy as theta grows
-        inv_sinc = 1.0 / sinc_guarded(theta) if theta < _SINC_TAYLOR else theta / sin_t
+    if cos_t >= 0.0:
+        # t/sin t from the measured sine, not sin(acos(.)), which would lose
+        # relative accuracy; sin t is 0 also where the squares of a tiny h
+        # underflow, and there t/sin t is 1
+        inv_sinc = theta / sin_t if sin_t else 1.0
         return _new(AntiSymMat3, (h12 * inv_sinc, h13 * inv_sinc, h23 * inv_sinc))
-    return _log_so3_near_pi(r, cos_t)
-
-
-def _log_so3_near_pi(r: Mat3, cos_t: float) -> AntiSymMat3:
-    # (R + R^T)/2 - cos(t) I equals (1 - cos t) k k^T exactly for the unit
-    # axis k, so its column with the largest diagonal entry (Shepperd's
-    # pivot) is the axis up to sign, free of O(pi - t) noise
-    a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
-    m11 = a11 - cos_t
-    m22 = a22 - cos_t
-    m33 = a33 - cos_t
-    if m11 >= m22 and m11 >= m33:
-        v1, v2, v3 = m11, 0.5 * (a12 + a21), 0.5 * (a13 + a31)
-    elif m22 >= m33:
-        v1, v2, v3 = 0.5 * (a12 + a21), m22, 0.5 * (a23 + a32)
+    # R + R^T - 2 cos(t) I equals 2 (1 - cos t) k k^T exactly for the unit
+    # axis k, so its column with the largest diagonal entry (where R has
+    # its largest) is the axis up to sign, free of the 1/sin t
+    # amplification of h; its norm is at least 2 (1 - cos t)/sqrt(3) here
+    if a11 >= a22 and a11 >= a33:
+        v1, v2, v3 = 2.0 * (a11 - cos_t), a12 + a21, a13 + a31
+    elif a22 >= a33:
+        v1, v2, v3 = a12 + a21, 2.0 * (a22 - cos_t), a23 + a32
     else:
-        v1, v2, v3 = 0.5 * (a13 + a31), 0.5 * (a23 + a32), m33
-    inv = 1.0 / math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
-    v1 *= inv
-    v2 *= inv
-    v3 *= inv
-    # (R - R^T)/2 is sin(t) [k]x, so its projection s on v is sin(t) (k . v):
-    # |s| gives the angle where acos saturates, and the sign of s the axis
-    # direction (s = 0, an exact half-turn, keeps +pi)
-    s = 0.5 * ((a32 - a23) * v1 + (a13 - a31) * v2 + (a21 - a12) * v3)
-    theta = math.pi - math.asin(min(abs(s), 1.0))
-    if s < 0.0:
-        theta = -theta
-    return AntiSymMat3(-v3 * theta, v2 * theta, -v1 * theta)
+        v1, v2, v3 = a13 + a31, a23 + a32, 2.0 * (a33 - cos_t)
+    scale = theta / math.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    # h is sin(t) [k]x, so the sign of its projection on v is the sign of
+    # k . v (0 at an exact half-turn, which keeps +pi)
+    if h13 * v2 - h23 * v1 - h12 * v3 < 0.0:
+        scale = -scale
+    return _new(AntiSymMat3, (-v3 * scale, v2 * scale, -v1 * scale))
 
 
 def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:

@@ -189,8 +189,8 @@ def _polar_split(linear: Mat3) -> tuple[SymMat3, SymEig3, Mat3]:
 
     The rotation factor linear * G^(-1/2) gets one Newton orthonormalisation
     step: Gram rounding leaves it non-orthogonal at ~eps * cond(G), and the
-    rotation log amplifies that defect near half-turns. Warns with the
-    stacklevel of the public caller.
+    rotation log would carry that defect into the parameters. Warns with
+    the stacklevel of the public caller.
     """
     det = mat_det(linear)
     if det <= 0.0:

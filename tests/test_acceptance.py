@@ -211,10 +211,16 @@ def test_criterion_7_branch_fallback_continuity():
     rng = random.Random(SEED + 4)
     pairs = 0
     worst = 0.0
+    worst_own = 0.0
 
     def check(d):
         nonlocal worst
         worst = max(worst, d)
+
+    def check_own(x):
+        # the rotation log against the generator it was built from
+        nonlocal worst_own
+        worst_own = max(worst_own, math.sqrt(2) * math.dist(log_so3(exp_so3(x)), x))
 
     for _ in range(150):  # rotation-angle thresholds of the exponential/log
         axis = rand_unit_axis(rng)
@@ -227,7 +233,12 @@ def test_criterion_7_branch_fallback_continuity():
         ra = axis_angle_rotation(axis, math.pi - gap_hi)
         rb = axis_angle_rotation(axis, math.pi - gap_lo)
         check(math.sqrt(2) * math.dist(log_so3(ra), log_so3(rb)))
-        pairs += 3
+        # the branch test of the log, cos t = 0: the two sides differ by
+        # 4.4e-8 by construction, so each is held to its own generator
+        lo, hi = _straddle(0.5 * math.pi)
+        check_own(generator_for(axis, lo))
+        check_own(generator_for(axis, hi))
+        pairs += 4
 
     for _ in range(150):  # helper-series and confluent-spectrum thresholds of exp
         q = exp_so3(rand_antisym(rng, 2.0))
@@ -256,9 +267,10 @@ def test_criterion_7_branch_fallback_continuity():
                        log_spd_half_gram(gb, sym_eigenvalues(gb))))
         pairs += 2
 
-    ok = worst <= 1e-10 and pairs >= 1000
+    ok = worst <= 1e-10 and worst_own <= 1e-14 and pairs >= 1000
     _verdict(7, "branch-fallback continuity", ok,
-             f"max output jump = {worst:.3e} (<= 1e-10) over {pairs} straddling pairs")
+             f"max output jump = {worst:.3e} (<= 1e-10), max rotation-log error at "
+             f"cos t = 0 = {worst_own:.3e} (<= 1e-14) over {pairs} straddling pairs")
 
 
 def test_criterion_8_oracle_agreement():

@@ -14,10 +14,10 @@ from affine12.errors import (
     NotPositiveDefiniteError,
     OutOfRangeError,
 )
-from affine12.expmap import _E2_TAYLOR, _SINC_TAYLOR, exp_so3
+from affine12.expmap import _E2_TAYLOR, exp_so3
 from affine12.expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
 from affine12.linalg3 import Mat3, Vec3, gram, mat_mul, sym_eigenvalues
-from affine12.logmap import _L2_TAYLOR, _NEAR_PI
+from affine12.logmap import _L2_TAYLOR
 from affine12.logmap import _SPREAD_TAYLOR as _LOG_SPREAD_TAYLOR
 from affine12.param import (
     _NEWTON_SKIP,
@@ -111,14 +111,16 @@ def test_criterion_1_sample_inverse_and_forward():
 
 
 def test_rotation_thresholds_straddled():
-    # sinc series (at the angle and at its half, which exp_so3 also takes),
-    # and the half-turn branch of the log
+    # the former switches of the sinc series (at the angle and at its half,
+    # which exp_so3 also takes) and of the half-turn branch of the log, and
+    # the branch test of the log at cos t = 0
     rng = random.Random(102)
     params, mats = [], []
     for _ in range(50):
         axis = rand_unit_axis(rng)
-        for angle in (*_straddle(_SINC_TAYLOR), *_straddle(2.0 * _SINC_TAYLOR),
-                      *(math.pi - g for g in _straddle(_NEAR_PI))):
+        for angle in (*_straddle(1e-4), *_straddle(2e-4),
+                      *(math.pi - g for g in _straddle(1e-3)),
+                      *_straddle(0.5 * math.pi)):
             params.append([0.0] * 3 + list(generator_for(axis, angle)) + [0.0] * 6)
             mats.append(axis_angle_rotation(axis, angle))
     _check_forward(params)

@@ -420,6 +420,15 @@ class TestBenchCommand:
         assert any(ln.startswith("affine_roundtrip,") for ln in text)
         assert any(ln.startswith("exp_sym3,") for ln in text)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0"], "n must be >= 1, got 0"),
+        (["--kind", "timing", "--n", "10"], "timing needs n >= 1000, got 10"),
+        (["--det-floor", "-1"], "det_floor must be positive, got -1.0"),
+    ])
+    def test_bad_value_is_usage_error(self, argv, message, capsys):
+        assert main(["bench", *argv]) == 1
+        assert capsys.readouterr().err == f"usage error: bench: {message}\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_1(self, capsys):

@@ -45,12 +45,14 @@ class TestSincGuarded:
     def test_at_pi(self):
         assert abs(sinc_guarded(math.pi)) <= 1e-15
 
-    def test_branch_agreement_at_switch(self):
-        # both branches evaluated on the switch value itself
-        t = 1e-4
-        exact = math.sin(t) / t
-        taylor = 1.0 - t * t / 6.0
-        assert abs(exact - taylor) <= 1e-12 * abs(exact)
+    def test_quotient_at_tiny_angles(self):
+        # the plain quotient needs no series: it stays within an ulp of
+        # 1 - t^2/6 + t^4/120 (truncation below 1e-21 here) down to the
+        # smallest double, and across the former series switch at 1e-4
+        for t in (5e-324, 1e-300, 1e-154, 1e-8, 1e-4 * (1 - 1e-8), 1e-4 * (1 + 1e-8), 1e-3):
+            series = 1.0 - t * t / 6.0 + t ** 4 / 120.0
+            for x in (t, -t):
+                assert abs(sinc_guarded(x) - series) <= 2.3e-16, x
 
 
 class TestExpQuadCoeff:

@@ -24,7 +24,6 @@ from affine12.linalg3 import (
     sym_square,
 )
 from affine12.logmap import (
-    _NEAR_PI,
     consistent_log_so3,
     inv_sqrt_spd,
     log_quad_coeff,
@@ -222,25 +221,45 @@ class TestLogSo3NearPiSign:
         assert mat_dist(exp_so3(log(CASE_C)), CASE_C) <= 2e-10
         assert mat_dist(batch_exp_so3(log(CASE_C)), CASE_C) <= 2e-10
 
+    @pytest.mark.parametrize("gap", [1.001e-3, 1e-2, 0.1, 0.3, 0.5 * math.pi - 1e-4])
+    def test_one_entry_moved_costs_only_its_own_size(self, gap):
+        # the obtuse rule holds the round trip to the input's own defect over
+        # the whole obtuse half, not only next to the half-turn
+        rng = random.Random(17)
+        rows = []
+        for _ in range(200):
+            r = list(exp_so3(unit_generator([rng.gauss(0.0, 1.0) for _ in range(3)],
+                                            math.pi - gap)))
+            r[rng.randrange(9)] += rng.choice((-1e-10, 1e-10))
+            rows.append(Mat3(*r))
+        for log in (log_so3, batch_log_so3):
+            assert max(mat_dist(exp_so3(log(r)), r) for r in rows) <= 2e-10
+
     @settings(max_examples=300, deadline=None)
     @given(axis=st.one_of(
                st.tuples(st.integers(0, 2), st.floats(-12.0, -5.0), st.sampled_from((-1.0, 1.0)),
                          st.floats(0.0, 2.0 * math.pi)).map(small_component_axis),
                unit_axes),
-           gap=st.floats(-12.0, -3.0, exclude_max=True).map(lambda e: 10.0 ** e),
+           gap=st.floats(-12.0, math.log10(0.5 * math.pi)).map(lambda e: 10.0 ** e),
            perturbation=st.lists(st.floats(-1e-10, 1e-10), min_size=9, max_size=9))
     def test_near_pi_round_trip_property(self, axis, gap, perturbation):
         r = exp_so3(unit_generator(axis, math.pi - gap))
         perturbed = Mat3(*(a + d for a, d in zip(r, perturbation)))
         size = math.sqrt(sum(d * d for d in perturbation))
-        # within rounding of the switch the trace may read pi - t >= _NEAR_PI,
-        # and the generic branch takes the axis from (R - R^T)/2, whose error
-        # is eps + size against its norm sin t: the bounds grow by 1/sin t there
-        generic = math.pi - antisym_angle(log_so3(r)) >= _NEAR_PI * (1.0 - 1e-9)
-        amp = 1.0 / math.sin(gap) if generic else 1.0
         for log in (log_so3, batch_log_so3):
-            assert mat_dist(exp_so3(log(r)), r) <= 1e-14 * amp
-            assert mat_dist(exp_so3(log(perturbed)), perturbed) <= (10.0 * size + 1e-14) * amp
+            assert mat_dist(exp_so3(log(r)), r) <= 1e-14
+            assert mat_dist(exp_so3(log(perturbed)), perturbed) <= 10.0 * size + 1e-14
+
+
+class TestLogSo3TinyAngles:
+    """Plain t/sin t and sin(t)/t hold log(exp x) to roundoff down to 1e-300."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis=unit_axes, angle=st.floats(-300.0, -3.0).map(lambda e: 10.0 ** e))
+    def test_log_of_exp_property(self, axis, angle):
+        x = unit_generator(axis, angle)
+        for got in (log_so3(exp_so3(x)), batch_log_so3(batch_exp_so3(x))):
+            assert math.dist(got, x) <= 1e-15 * angle
 
 
 class TestConsistentLog:

@@ -5,14 +5,18 @@
 The parent is `HEAD`, exported with `git archive` into a temporary
 directory that is removed when the script ends (an export, not a
 `git worktree`, so an interrupted run leaves nothing in `.git`). The change
-is the working tree of this checkout. Each pair runs the parent first and
-then the change, each as the `command` of BENCHMARK.json
-(`perfbench/run.py`) from its own checkout root, with `--seconds` set to
-BENCHMARK.json's `run_seconds` and `--trace 0`. Progress goes to stderr.
+is the working tree of this checkout. Each pair runs both sides, each as
+the `command` of BENCHMARK.json (`perfbench/run.py`) from its own checkout
+root, with `--seconds` set to BENCHMARK.json's `run_seconds` and
+`--trace 0`. The parent runs first in odd pairs and the change in even
+ones, so that a drift of the machine's speed favours neither side.
+Progress goes to stderr.
 
 Stdout is one JSON object whose `workloads` block has the shape of the
 committed BENCH_*.json files: per workload a list with one entry for the
-seed, holding the failed and attempted counts of every run and, for each
+seed, holding the side that ran first in each pair (`first`), the failed
+and attempted counts of every run, the number of pairs in which the change
+had the lower `op_best_ms` (`op_best_ms_change_wins`) and, for each
 end-to-end metric of BENCHMARK.json, the median, q1, q3 (linear
 interpolation) and runs of each side, `change_frac` (change median /
 parent median - 1) and `within_bound` (the change is worse than the parent
@@ -91,20 +95,27 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
     results = {"parent": [], "change": []}
+    first = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         commit = _export_head(tmp)
         roots = {"parent": tmp, "change": ROOT}
         for k in range(args.pairs):
-            for side in ("parent", "change"):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            first.append(order[0])
+            for side in order:
                 res = _run(bench["command"], roots[side], args.workload, args.seed, seconds)
                 results[side].append(res)
                 best = res["metrics"]["op_best_ms"]["value"]
                 print(f"pair {k + 1}/{args.pairs} {side}: op_best_ms {best}",
                       file=sys.stderr, flush=True)
+    best_ms = {s: [r["metrics"]["op_best_ms"]["value"] for r in results[s]] for s in results}
     entry = {
         "seed": args.seed, "seconds": seconds, "trace": 0, "pairs": args.pairs,
+        "first": first,
         "failed": {s: [r["failed"] for r in results[s]] for s in results},
         "attempted": {s: [r["attempted"] for r in results[s]] for s in results},
+        "op_best_ms_change_wins": sum(c < p for p, c in zip(best_ms["parent"],
+                                                           best_ms["change"])),
         "correct": all(r["correct"] for s in results for r in results[s]),
         "metrics": {m["name"]: _metric(m, *([r["metrics"][m["name"]]["value"] for r in results[s]]
                                             for s in ("parent", "change")))
