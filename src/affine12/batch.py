@@ -1,16 +1,17 @@
 """The parameter maps over whole arrays of transforms, one NumPy pass each.
 
 The closed-form kernels need no eigenvectors and no iteration, so a batch
-of N transforms runs as a fixed sequence of array operations. Every regime
-switch of the scalar path (series forms, the confluent spectrum, the
-obtuse-angle axis of the rotation log, the Newton skip, the l3 <= 0
-recovery, the diagonal shortcut, sinc at 0) becomes an ``np.where`` over
-the batch with the same test, its threshold imported from the scalar
-module that owns it; the branch not taken is evaluated on a guarded
-denominator so it computes nothing undefined. The branch-free arithmetic
-is the scalar code itself: the linalg3 formulas, the Rodrigues assembly
-of exp_so3, the orthogonality defect of log_so3 and the Newton
-orthonormalisation step take arrays in place of floats.
+of N transforms runs as a fixed sequence of array operations. Every branch
+of the scalar path (the obtuse-angle axis of the rotation log, the Newton
+skip, the l3 <= 0 recovery, the diagonal shortcut, and the limits that
+replace a 0/0 quotient: sinc at 0, e2 and L2 at 0, a zero eigenvalue
+spread) becomes an ``np.where`` over the batch with the same test, its
+threshold imported from the scalar module that owns it; the branch not
+taken is evaluated on a guarded denominator so it computes nothing
+undefined. The branch-free arithmetic is the scalar code itself: the
+linalg3 formulas, the Rodrigues assembly of exp_so3, the orthogonality
+defect of log_so3 and the Newton orthonormalisation step take arrays in
+place of floats.
 
 Each row agrees with transform_to_params / params_to_transform to
 roundoff (the NumPy transcendentals may differ from libm by an ulp). The
@@ -32,8 +33,7 @@ from .errors import (
     NotPositiveDefiniteError,
     OutOfRangeError,
 )
-from .expmap import _E2_TAYLOR, _EXP_ARG_MAX, _rodrigues
-from .expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
+from .expmap import _EXP_ARG_MAX, _rodrigues
 from .linalg3 import (
     _MIN_NORMAL,
     _TWO_THIRDS_PI,
@@ -48,8 +48,7 @@ from .linalg3 import (
     sym_poly2,
     sym_scale,
 )
-from .logmap import _L2_TAYLOR, _ROTATION_TOL, _orth_defect2
-from .logmap import _SPREAD_TAYLOR as _LOG_SPREAD_TAYLOR
+from .logmap import _ROTATION_TOL, _orth_defect2
 from .param import _ILL_CONDITIONED_DET, _NEWTON_SKIP, _newton_orthonormalize
 
 
@@ -182,17 +181,15 @@ def _sinc(theta):
 
 
 def _exp_quad_coeff(x):
-    series = np.abs(x) < _E2_TAYLOR
-    t = _safe(x, series)
-    return np.where(series, 0.5 + x / 6.0 + x * x / 24.0, (np.expm1(t) - t) / (t * t))
+    xx = x * x
+    zero = xx == 0.0
+    return np.where(zero, 0.5, (np.expm1(x) - x) / _safe(xx, zero))
 
 
 def _log_quad_coeff(x):
     u = x - 1.0
-    series = np.abs(u) < _L2_TAYLOR
-    t = _safe(u, series)
-    return np.where(series, u * (-0.5 + u * (1.0 / 3.0 + u * (-0.25 + u * 0.2))),
-                    (np.log1p(t) - t) / t)
+    zero = u == 0.0
+    return np.where(zero, 0.0, (np.log1p(u) - u) / _safe(u, zero))
 
 
 def _exp_sym3_with_eig(y: SymMat3, eig: SymEig3) -> SymMat3:
@@ -203,19 +200,19 @@ def _exp_sym3_with_eig(y: SymMat3, eig: SymEig3) -> SymMat3:
         raise OverflowError(f"row {i}: exp of leading eigenvalue {float(l1[i])!r} "
                             "is not representable")
     lp1, lp3 = l1 - l2, l3 - l2
-    series = lp1 - lp3 < _EXP_SPREAD_TAYLOR
     # the scalar expm1(lp1) raises here: exp of the spread overflows
-    i = _first(~series & (lp1 > _EXP_ARG_MAX))
+    i = _first(lp1 > _EXP_ARG_MAX)
     if i is not None:
         raise OverflowError(f"row {i}: exp of eigenvalue spread {float(lp1[i])!r} "
                             "is not representable")
     e1 = _exp_quad_coeff(lp1)
     e3 = _exp_quad_coeff(lp3)
-    spread = _safe(lp1 - lp3, series)
-    b = np.where(series, 1.0 - lp1 * lp3 / 6.0, 1.0 - lp1 * lp3 * (e1 - e3) / spread)
-    c = np.where(series,
-                 0.5 + (lp1 + lp3) / 6.0 + (lp1 * lp1 + lp1 * lp3 + lp3 * lp3) / 24.0,
-                 0.5 + (lp1 * (2.0 * e1 - 1.0) - lp3 * (2.0 * e3 - 1.0)) / (2.0 * spread))
+    # a zero spread has lp1 = lp3 = 0, so the guarded quotients give the
+    # scalar path's limit (b, c) = (1, 1/2) exactly
+    spread = lp1 - lp3
+    spread = _safe(spread, spread == 0.0)
+    b = 1.0 - lp1 * lp3 * (e1 - e3) / spread
+    c = 0.5 + (lp1 * (2.0 * e1 - 1.0) - lp3 * (2.0 * e3 - 1.0)) / (2.0 * spread)
     z = SymMat3(y.xx - l2, y.xy, y.xz, y.yy - l2, y.yz, y.zz - l2)
     return sym_scale(sym_poly2(1.0, b, c, z), np.exp(l2))
 
@@ -228,23 +225,18 @@ def _log_spd_half_gram(g: SymMat3, eig: SymEig3) -> SymMat3:
         raise NotPositiveDefiniteError(
             f"row {i}: smallest eigenvalue {float(l3[i])!r} is not positive")
     lp1, lp3 = l1 / l2, l3 / l2
-    series = lp1 - lp3 < _LOG_SPREAD_TAYLOR
     # the scalar log1p(lp3 - 1) raises here: lp3 is below the rounding of 1
-    i = _first(~series & (lp3 - 1.0 <= -1.0))
+    i = _first(lp3 - 1.0 <= -1.0)
     if i is not None:
         raise ValueError(f"row {i}: stretch eigenvalue ratio {float(lp3[i])!r} "
                          "is lost in log1p(x - 1) (math domain error)")
-    u1 = lp1 - 1.0
-    u3 = lp3 - 1.0
-    c_series = (-0.5 + (u1 + u3) / 3.0
-                - (u1 * u1 + u1 * u3 + u3 * u3) / 4.0
-                + (u1 * u1 * u1 + u1 * u1 * u3 + u1 * u3 * u3 + u3 * u3 * u3) / 5.0)
     t1 = _log_quad_coeff(lp1)
     t3 = _log_quad_coeff(lp3)
-    spread = _safe(lp1 - lp3, series)
-    a = np.where(series, -1.0 + c_series + u1 * u3 * (1.0 / 3.0 - (u1 + u3) / 4.0),
-                 -1.0 + (lp3 * t1 - lp1 * t3) / spread)
-    c = np.where(series, c_series, (t1 - t3) / spread)
+    spread = lp1 - lp3
+    zero = spread == 0.0
+    spread = _safe(spread, zero)
+    a = np.where(zero, -1.5, -1.0 + (lp3 * t1 - lp1 * t3) / spread)
+    c = np.where(zero, -0.5, (t1 - t3) / spread)
     k = 0.5 * (a + np.log(l2))
     return sym_poly2(k, -0.5 * (a + c), 0.5 * c, sym_scale(g, 1.0 / l2))
 

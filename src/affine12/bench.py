@@ -49,6 +49,13 @@ class BenchReport:
             raise ValueError("errors cannot be negative")
 
 
+def _check_det_floor(det_floor: float) -> None:
+    # no matrix with entries in [-1, 1] has a determinant of 4 or more, and
+    # a NaN floor is never cleared: the rejection sampler would loop forever
+    if not 0.0 < det_floor < 4.0:
+        raise ValueError(f"det_floor must be in (0, 4), got {det_floor}")
+
+
 def _draw_linear(rng: random.Random, det_floor: float) -> tuple[Mat3, Vec3, int]:
     attempts = 0
     while True:
@@ -61,8 +68,7 @@ def _draw_linear(rng: random.Random, det_floor: float) -> tuple[Mat3, Vec3, int]
 
 def sample_affines(n: int, det_floor: float, seed: int) -> tuple[list[HomAffine3], float]:
     """n random transforms plus the rejection sampler's acceptance rate."""
-    if det_floor <= 0.0:
-        raise ValueError(f"det_floor must be positive, got {det_floor}")
+    _check_det_floor(det_floor)
     rng = random.Random(seed)
     out = []
     attempts = 0
@@ -145,6 +151,7 @@ def timing_run(n: int, seed: int = DEFAULT_SEED, det_floor: float = 1e-3) -> Ben
     """
     if n < 1000:
         raise ValueError(f"timing needs n >= 1000, got {n}")
+    _check_det_floor(det_floor)
     rng = random.Random(seed)
     sym_inputs = [random_sym(rng) for _ in range(n)]
     spd_inputs = [gram(_draw_linear(rng, det_floor)[0]) for _ in range(n)]

@@ -4,11 +4,11 @@ The rotation exponential is the classical axis-angle formula. The symmetric
 exponential avoids diagonalisation: with the spectrum from the analytic
 cubic solver, exp(Y) reduces by Cayley-Hamilton to the quadratic
 exp(l2) * (I + b*Z + c*Z^2) in Z = Y - l2*I, whose coefficients come from
-divided differences of the analytic helper e2(x) = (exp(x) - 1 - x)/x^2.
-The divided differences switch to short Taylor forms at small denominators,
-whose truncation error sits below double-precision roundoff at the switch
-point. sin(t)/t needs no series: the quotient is accurate to an ulp down to
-the smallest double, so only t = 0 is guarded.
+divided differences of the analytic helper e2(x) = (exp(x) - 1 - x)/x^2
+(the divided-difference form of f(A): Higham, Functions of Matrices, SIAM
+2008). Every quotient is evaluated as it stands, with no series and no
+tuned switch; only 0/0 is replaced by its limit. sin(t)/t is accurate to
+an ulp down to the smallest double, so only t = 0 is guarded.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ from .linalg3 import (
 # log of the largest representable double; exp of anything above overflows
 _EXP_ARG_MAX = 709.782712893384
 
-# switch points for the series forms of the guarded helpers
-_E2_TAYLOR = 1e-4
-_SPREAD_TAYLOR = 1e-4
-
 
 def sinc_guarded(theta: float) -> float:
     """sin(t)/t, with its limit 1 at t = 0."""
@@ -41,12 +37,13 @@ def sinc_guarded(theta: float) -> float:
 def exp_quad_coeff(x: float) -> float:
     """e2(x) = (exp(x) - 1 - x)/x^2, the quadratic remainder coefficient of exp.
 
-    Evaluated through expm1 to avoid the exp(x)-1 cancellation; below
-    |x| = 1e-4 the series 1/2 + x/6 + x^2/24 is used (limit 1/2 at 0).
+    Evaluated through expm1 to avoid the exp(x)-1 cancellation; for small
+    x the error is about eps/|x|, which _exp_coeffs multiplies by x. Only
+    x*x == 0 (x = 0, or |x| below ~1.5e-162, whose square underflows) is
+    0/0 and returns the limit 1/2.
     """
-    if abs(x) < _E2_TAYLOR:
-        return 0.5 + x / 6.0 + x * x / 24.0
-    return (math.expm1(x) - x) / (x * x)
+    xx = x * x
+    return (math.expm1(x) - x) / xx if xx else 0.5
 
 
 def exp_so3(x: AntiSymMat3) -> Mat3:
@@ -84,15 +81,17 @@ def _exp_coeffs(lp1: float, lp3: float) -> tuple[float, float]:
     """Quadratic coefficients (b, c) for exp on the shifted spectrum.
 
     lp1 >= 0 >= lp3 are the outer eigenvalues after subtracting the middle
-    one. Near-confluent spectra use the divided-difference Taylor forms.
+    one. The divided differences are plain quotients by the spread: the
+    rounding error of e2 or of the quotient reaches exp(Y) only through
+    lp1, lp3 and Z^2, which are no larger than the spread, so it stays at
+    roundoff however small the spread is. Only a spread of exactly 0
+    (lp1 = lp3 = 0, a scalar matrix) is 0/0 and returns the limit (1, 1/2).
     """
-    if lp1 - lp3 < _SPREAD_TAYLOR:
-        b = 1.0 - lp1 * lp3 / 6.0
-        c = 0.5 + (lp1 + lp3) / 6.0 + (lp1 * lp1 + lp1 * lp3 + lp3 * lp3) / 24.0
-        return b, c
+    spread = lp1 - lp3
+    if not spread:
+        return 1.0, 0.5
     e1 = exp_quad_coeff(lp1)
     e3 = exp_quad_coeff(lp3)
-    spread = lp1 - lp3
     b = 1.0 - lp1 * lp3 * (e1 - e3) / spread
     c = 0.5 + (lp1 * (2.0 * e1 - 1.0) - lp3 * (2.0 * e3 - 1.0)) / (2.0 * spread)
     return b, c

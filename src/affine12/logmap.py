@@ -2,8 +2,9 @@
 
 The SPD path mirrors the symmetric exponential: eigenvalues from the cubic
 solver, then log(S) = (1/2)*((a + log l2)*I - (a+c)*Z + c*Z^2) on the
-normalised Z = G/l2, with coefficients built from the analytic helper
-L2(x) = (log(x) - (x-1))/(x-1). The rotation log inverts the axis-angle
+normalised Z = G/l2, with coefficients built as divided differences of the
+analytic helper L2(x) = (log(x) - (x-1))/(x-1). Each is a plain quotient,
+guarded only where it is 0/0. The rotation log inverts the axis-angle
 formula with one test, the sign of cos t. The angle is always
 atan2(sin t, cos t), with sin t the norm of (R - R^T)/2. Acute rotations
 take the axis from that antisymmetric part. Obtuse ones take it from the
@@ -33,8 +34,6 @@ from .linalg3 import (
     mat_det,
 )
 
-_L2_TAYLOR = 1e-3
-_SPREAD_TAYLOR = 1e-4
 _ROTATION_TOL = 1e-6
 _TWO_PI = 2.0 * math.pi
 _MAX_REF_ANGLE = 1e7
@@ -43,34 +42,29 @@ _MAX_REF_ANGLE = 1e7
 def log_quad_coeff(x: float) -> float:
     """L2(x) = (log(x) - (x-1))/(x-1), with L2(1) = 0.
 
-    Below |x-1| = 1e-3 the alternating series -u/2 + u^2/3 - u^3/4 + u^4/5
-    (u = x-1) is used; its truncation error at the switch point is ~1e-16,
-    well under the continuity budget of the callers.
+    Evaluated through log1p(x - 1); near x = 1, where x - 1 is exact, the
+    error is about eps absolutely. Only x = 1 is 0/0 and returns the
+    limit 0.
     """
     u = x - 1.0
-    if abs(u) < _L2_TAYLOR:
-        return u * (-0.5 + u * (1.0 / 3.0 + u * (-0.25 + u * 0.2)))
-    return (math.log1p(u) - u) / u
+    return (math.log1p(u) - u) / u if u else 0.0
 
 
 def _log_coeffs(lp1: float, lp3: float) -> tuple[float, float]:
     """Coefficients (a, c) of the quadratic form for log on Z = G/l2.
 
-    lp1 >= 1 >= lp3 > 0 are the outer eigenvalues of Z. A confluent
-    spectrum forces both toward 1, so the divided differences switch to
-    Taylor forms in u = lp - 1.
+    lp1 >= 1 >= lp3 > 0 are the outer eigenvalues of Z. The divided
+    differences are plain quotients by the spread: an error in a or c
+    reaches log(G) multiplied by (I - Z)/2 or Z(Z - I)/2, both of the size
+    of the spread, so it stays at roundoff however small the spread is.
+    Only a spread of exactly 0 (lp1 = lp3 = 1) is 0/0 and returns the
+    limit (-3/2, -1/2).
     """
-    if lp1 - lp3 < _SPREAD_TAYLOR:
-        u1 = lp1 - 1.0
-        u3 = lp3 - 1.0
-        c = (-0.5 + (u1 + u3) / 3.0
-             - (u1 * u1 + u1 * u3 + u3 * u3) / 4.0
-             + (u1 * u1 * u1 + u1 * u1 * u3 + u1 * u3 * u3 + u3 * u3 * u3) / 5.0)
-        a = -1.0 + c + u1 * u3 * (1.0 / 3.0 - (u1 + u3) / 4.0)
-        return a, c
+    spread = lp1 - lp3
+    if not spread:
+        return -1.5, -0.5
     t1 = log_quad_coeff(lp1)
     t3 = log_quad_coeff(lp3)
-    spread = lp1 - lp3
     a = -1.0 + (lp3 * t1 - lp1 * t3) / spread
     c = (t1 - t3) / spread
     return a, c

@@ -115,7 +115,14 @@ def vandermonde_coeffs(f_values: tuple[float, float, float],
     return a, b, c
 
 
-# -- random inputs -------------------------------------------------------------
+# -- inputs --------------------------------------------------------------------
+
+# offsets from the smallest double to 1e-3 for the quotient helpers: every
+# decade at three mantissas, the squares that just underflow and the former
+# series switch at 1e-4
+TINY_ARGUMENTS = (5e-324, 1.4e-162, 1.6e-162, 1e-4 * (1 - 1e-8), 1e-4 * (1 + 1e-8),
+                  *(m * 10.0 ** k for k in range(-323, -3) for m in (1.0, 2.5, 6.3)), 1e-3)
+
 
 def rand_sym(rng: random.Random, scale: float = 1.0) -> SymMat3:
     return SymMat3(*(rng.uniform(-scale, scale) for _ in range(6)))

@@ -224,12 +224,12 @@ def test_criterion_7_branch_fallback_continuity():
 
     for _ in range(150):  # rotation-angle thresholds of the exponential/log
         axis = rand_unit_axis(rng)
-        lo, hi = _straddle(1e-4)  # small-angle series switch
+        lo, hi = _straddle(1e-4)  # former small-angle series switch
         a = exp_so3(generator_for(axis, lo))
         b = exp_so3(generator_for(axis, hi))
         check(mat_dist(a, b))
         check(math.sqrt(2) * math.dist(log_so3(a), log_so3(b)))
-        gap_lo, gap_hi = _straddle(1e-3)  # half-turn branch of the log
+        gap_lo, gap_hi = _straddle(1e-3)  # former half-turn switch of the log
         ra = axis_angle_rotation(axis, math.pi - gap_hi)
         rb = axis_angle_rotation(axis, math.pi - gap_lo)
         check(math.sqrt(2) * math.dist(log_so3(ra), log_so3(rb)))
@@ -240,7 +240,7 @@ def test_criterion_7_branch_fallback_continuity():
         check_own(generator_for(axis, hi))
         pairs += 4
 
-    for _ in range(150):  # helper-series and confluent-spectrum thresholds of exp
+    for _ in range(150):  # former helper-series and confluent-spectrum switches of exp
         q = exp_so3(rand_antisym(rng, 2.0))
         base = rng.uniform(-0.5, 0.5)
         lo, hi = _straddle(1e-4)
@@ -252,7 +252,7 @@ def test_criterion_7_branch_fallback_continuity():
         check(sym_dist(exp_sym3(ya), exp_sym3(yb)))
         pairs += 2
 
-    for _ in range(150):  # helper-series and confluent thresholds of the SPD log
+    for _ in range(150):  # former helper-series and confluent switches of the SPD log
         q = exp_so3(rand_antisym(rng, 2.0))
         l2 = math.exp(rng.uniform(-0.5, 0.5))
         lo, hi = _straddle(1e-3)

@@ -14,11 +14,8 @@ from affine12.errors import (
     NotPositiveDefiniteError,
     OutOfRangeError,
 )
-from affine12.expmap import _E2_TAYLOR, exp_so3
-from affine12.expmap import _SPREAD_TAYLOR as _EXP_SPREAD_TAYLOR
+from affine12.expmap import exp_so3
 from affine12.linalg3 import Mat3, Vec3, gram, mat_mul, sym_eigenvalues
-from affine12.logmap import _L2_TAYLOR
-from affine12.logmap import _SPREAD_TAYLOR as _LOG_SPREAD_TAYLOR
 from affine12.param import (
     _NEWTON_SKIP,
     AffineParam12,
@@ -129,21 +126,30 @@ def test_rotation_thresholds_straddled():
 
 
 def test_stretch_thresholds_straddled():
-    # exp: e2 series on an outer gap, confluent spectrum; log: L2 series on
-    # the Gram ratio, confluent Gram spectrum; Newton skip on a Gram gap
+    # the former series switches (exp: e2 at 1e-4 on an outer gap, the
+    # confluent spectrum at a spread of 1e-4; log: L2 at 1e-3 on the Gram
+    # ratio, the confluent Gram spectrum at 1e-4), tiny gaps far below them
+    # and a spread of exactly 0; the Newton skip on a Gram gap
     rng = random.Random(103)
     params = []
     for _ in range(50):
         x = rand_antisym(rng, 1.0)
         base = rng.uniform(-0.5, 0.5)
-        for d in _straddle(_E2_TAYLOR):
+        for d in (*_straddle(1e-4), 1e-12):
             params.append(_param(x, (base + d, base, base - 0.5), rng))
-        for d in _straddle(_EXP_SPREAD_TAYLOR):
             params.append(_param(x, (base + d / 2, base, base - d / 2), rng))
-        for d in _straddle(_L2_TAYLOR):
+        for d in (*_straddle(1e-3), 1e-12):
             params.append(_param(x, (base + 0.5 * math.log1p(d), base, base - 0.35), rng))
-        for d in _straddle(_LOG_SPREAD_TAYLOR):
+        for d in (*_straddle(1e-4), 1e-12):
             params.append(_param(x, (base + 0.25 * d, base, base - 0.25 * d), rng))
+        # diagonal stretch logs keep their exact spectrum, so the gaps
+        # 1e-100 and 1e-300 reach the exp kernel; without a rotation the
+        # Gram matrix is exactly diagonal too, and exactly I (a zero log
+        # spread) where exp rounds the gap away
+        for d in (1e-100, 1e-300, 0.0):
+            for rot in (x, (0.0, 0.0, 0.0)):
+                params.append([0.0] * 3 + list(rot) + [d, 0.0, 0.0, 0.0, 0.0, -d])
+                params.append([0.0] * 3 + list(rot) + [base + d, 0.0, 0.0, base, 0.0, base - 0.5])
         # Gram spectrum (l2 (1 + g), l2, l2 / 2): the top Newton step sees
         # |dp| = g (1/2 + g) l2^2 against the skip bound, here at l1 ~ 1
         for g in _straddle(2.0 * _NEWTON_SKIP):

@@ -423,7 +423,12 @@ class TestBenchCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--n", "0"], "n must be >= 1, got 0"),
         (["--kind", "timing", "--n", "10"], "timing needs n >= 1000, got 10"),
-        (["--det-floor", "-1"], "det_floor must be positive, got -1.0"),
+        (["--det-floor", "-1"], "det_floor must be in (0, 4), got -1.0"),
+        # floors the rejection sampler could never clear
+        (["--n", "1", "--det-floor", "5"], "det_floor must be in (0, 4), got 5.0"),
+        (["--n", "1", "--det-floor", "nan"], "det_floor must be in (0, 4), got nan"),
+        (["--kind", "timing", "--n", "1000", "--det-floor", "nan"],
+         "det_floor must be in (0, 4), got nan"),
     ])
     def test_bad_value_is_usage_error(self, argv, message, capsys):
         assert main(["bench", *argv]) == 1

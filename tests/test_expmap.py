@@ -25,6 +25,7 @@ from affine12.linalg3 import (
 from affine12.oracle import matfun_diag
 from affine12.param import AffineParam12, params_to_transform
 from conftest import (
+    TINY_ARGUMENTS,
     antisym_scale,
     exp_antisym_series,
     mat_dist,
@@ -58,12 +59,17 @@ class TestSincGuarded:
 class TestExpQuadCoeff:
     def test_limit_at_zero(self):
         assert exp_quad_coeff(0.0) == 0.5
+        # a square that underflows would make the quotient 0/0
+        assert exp_quad_coeff(1e-200) == 0.5
 
-    def test_branch_agreement_at_switch(self):
-        for x in (1e-4, -1e-4):
-            exact = (math.expm1(x) - x) / (x * x)
-            series = 0.5 + x / 6.0 + x * x / 24.0
-            assert abs(exact - series) <= 1e-12 * abs(exact)
+    def test_quotient_at_tiny_arguments(self):
+        # the plain quotient needs no series: its error is about eps/|x|,
+        # and the kernels multiply it by x, so |x| times it stays within an
+        # ulp of sum x^k/(k+2)! (k <= 8, truncation below 1e-20 here)
+        for t in TINY_ARGUMENTS:
+            for x in (t, -t):
+                series = sum(x ** k / math.factorial(k + 2) for k in range(9))
+                assert abs(x) * abs(exp_quad_coeff(x) - series) <= 2.3e-16, x
 
 
 class TestExpSo3:
@@ -123,16 +129,27 @@ class TestExpSym3:
             assert sym_dist(ours, ref) <= 1e-12 * max(1.0, sym_norm(ref))
 
     def test_tight_spectrum_gaps(self):
-        # gaps down to 1e-10 exercise the confluent fallbacks
+        # gaps down to 1e-300 take the plain divided differences far below
+        # their former series switches at 1e-4, and past the underflow of
+        # the gap's square
         rng = random.Random(32)
-        for k in range(2, 11):
+        for k in (*range(2, 17), 20, 50, 100, 160, 200, 300):
             gap = 10.0 ** -k
-            for _ in range(200):
-                base = rng.uniform(-1.0, 1.0)
+            for base in (*(rng.uniform(-1.0, 1.0) for _ in range(200)), 0.0):
                 y = sym_with_spectrum(rng, (base + gap, base, base - gap))
                 ours = exp_sym3(y)
                 ref = matfun_diag(y, "exp")
                 assert sym_dist(ours, ref) <= 1e-12 * max(1.0, sym_norm(ref))
+        # diagonal inputs keep their exact spectrum: one-ulp gaps, and gaps
+        # whose squares underflow
+        spectra = [(math.nextafter(b, 2.0), b, math.nextafter(b, -2.0)) for b in (-0.7, 0.3, 1.0)]
+        spectra += [(g, 0.0, -g) for g in (1e-160, 1e-300, 1e-320)]
+        for lams in spectra:
+            out = exp_sym3(SymMat3(lams[0], 0.0, 0.0, lams[1], 0.0, lams[2]))
+            want = [math.exp(v) for v in lams]
+            assert (out.xy, out.xz, out.yz) == (0.0, 0.0, 0.0)
+            for got, w in zip((out.xx, out.yy, out.zz), want):
+                assert abs(got - w) <= 2.3e-16 * max(want), lams
 
     def test_spd_output(self, rng):
         for _ in range(500):
@@ -145,7 +162,7 @@ class TestExpSym3:
             exp_sym3(SymMat3(800.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     def test_continuity_across_confluent_fallback(self, rng):
-        # spectra straddling the coefficient-fallback gap, same eigenvectors
+        # spectra straddling the former confluent-series switch, same eigenvectors
         from affine12.expmap import exp_so3 as _exp
 
         from conftest import conjugate_spectrum

@@ -21,6 +21,7 @@ from affine12.linalg3 import (
     gram,
     mat_mul,
     sym_eigenvalues,
+    sym_scale,
     sym_square,
 )
 from affine12.logmap import (
@@ -33,6 +34,7 @@ from affine12.logmap import (
 from affine12.oracle import matfun_diag
 from affine12.param import HomAffine3, params_to_transform, transform_to_params
 from conftest import (
+    TINY_ARGUMENTS,
     axis_angle_rotation,
     conjugate_spectrum,
     generator_for,
@@ -50,12 +52,15 @@ class TestLogQuadCoeff:
     def test_limit_at_one(self):
         assert log_quad_coeff(1.0) == 0.0
 
-    def test_branch_agreement_at_switch(self):
-        for x in (1.001, 0.999):
-            u = x - 1.0
-            exact = (math.log1p(u) - u) / u
-            series = u * (-0.5 + u * (1.0 / 3.0 + u * (-0.25 + u * 0.2)))
-            assert abs(exact - series) <= 1e-12 * max(abs(exact), 1e-6)
+    def test_quotient_near_one(self):
+        # the plain quotient needs no series: within an ulp of
+        # sum (-1)^(k+1) u^(k-1)/k (k <= 9, truncation below 1e-20 here)
+        # from the smallest offset to 1e-3, across the former switch at 1e-3
+        for t in TINY_ARGUMENTS:
+            for x in (1.0 + t, 1.0 - t):
+                u = x - 1.0  # exact: the offset the helper sees
+                series = sum((-1) ** (k + 1) * u ** (k - 1) / k for k in range(2, 10))
+                assert abs(log_quad_coeff(x) - series) <= 2.3e-16, x
 
 
 class TestLogSpd:
@@ -74,6 +79,32 @@ class TestLogSpd:
         g = SymMat3(1.0, 0, 0, -1.0, 0, 1.0)
         with pytest.raises(NotPositiveDefiniteError):
             log_spd_half_gram(g, sym_eigenvalues(g))
+
+    def test_tight_spectrum_gaps(self):
+        # ratio gaps down to an ulp take the plain divided differences far
+        # below their former series switches at 1e-3 and 1e-4
+        rng = random.Random(33)
+        for k in range(2, 17):
+            d = 10.0 ** -k
+            for _ in range(100):
+                l2 = math.exp(rng.uniform(-0.5, 0.5))
+                q = exp_so3(rand_antisym(rng, 2.0))
+                for lams in ((l2 * (1 + d), l2, 0.5 * l2),
+                             (l2 * (1 + 0.5 * d), l2, l2 * (1 - 0.5 * d))):
+                    g = conjugate_spectrum(q, lams)
+                    ours = log_spd_half_gram(g, sym_eigenvalues(g))
+                    ref = matfun_diag(g, "log")
+                    assert sym_dist(sym_scale(ours, 2.0), ref) <= 1e-12 * max(1.0, sym_norm(ref))
+        # diagonal inputs keep their exact spectrum, here with one-ulp gaps
+        for l2 in (0.3, 1.0, 7.0):
+            up, down = math.nextafter(l2, 10.0), math.nextafter(l2, 0.0)
+            for lams in ((up, l2, down), (up, l2, 0.5 * l2), (l2, l2, down), (l2, l2, l2)):
+                g = SymMat3(lams[0], 0.0, 0.0, lams[1], 0.0, lams[2])
+                out = log_spd_half_gram(g, sym_eigenvalues(g))
+                want = [0.5 * math.log(v) for v in lams]
+                assert (out.xy, out.xz, out.yz) == (0.0, 0.0, 0.0)
+                for got, w in zip((out.xx, out.yy, out.zz), want):
+                    assert abs(got - w) <= 2.3e-16 * max(1.0, *map(abs, want)), lams
 
     def test_sqrt_roundtrip_on_grams(self, rng):
         # exp of the half-log is sqrt(G): squared it must reproduce G
@@ -389,7 +420,7 @@ class TestConsistentLog:
 
 class TestLogBranchContinuity:
     def test_l2_threshold_sweep(self, rng):
-        # outer eigenvalue ratio crossing the series switch of the log helper
+        # outer eigenvalue ratio crossing the former series switch of the log helper
         for _ in range(300):
             q = exp_so3(rand_antisym(rng, 2.0))
             l2 = math.exp(rng.uniform(-0.5, 0.5))
@@ -400,6 +431,7 @@ class TestLogBranchContinuity:
             assert sym_dist(a, b) <= 1e-10
 
     def test_log_confluent_spread_sweep(self, rng):
+        # Gram spread crossing the former confluent-series switch
         for _ in range(300):
             q = exp_so3(rand_antisym(rng, 2.0))
             l2 = math.exp(rng.uniform(-0.5, 0.5))
