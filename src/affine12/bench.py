@@ -3,9 +3,9 @@
 Inputs come from a seeded Mersenne Twister (the stdlib generator), so every
 report is replayable from its recorded seed; matrices are drawn with i.i.d.
 uniform [-1, 1] entries and rejection-resampled until the determinant
-clears the requested floor. Timing pre-generates all inputs, repeats each
-kernel three times, and keeps the fastest mean so scheduler noise cannot
-inflate a kernel unfairly.
+clears the requested floor, at most 2.5 (rarely cleared above). Timing
+pre-generates all inputs, repeats each kernel three times, and keeps the
+fastest mean so scheduler noise cannot inflate a kernel unfairly.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ class BenchReport:
 
 
 def _check_det_floor(det_floor: float) -> None:
-    # no matrix with entries in [-1, 1] has a determinant of 4 or more, and
-    # a NaN floor is never cleared: the rejection sampler would loop forever
+    # no matrix with entries in [-1, 1] has a determinant of 4 or more, a NaN
+    # floor is never cleared, and only 4.5e-5 of the matrices clear 2.5 (5e-7
+    # clear 3): past these the rejection sampler would draw forever or for hours
     if not 0.0 < det_floor < 4.0:
         raise ValueError(f"det_floor must be in (0, 4), got {det_floor}")
+    if det_floor > 2.5:
+        raise ValueError(f"det_floor {det_floor} is above 2.5: too few matrices clear it")
 
 
 def _draw_linear(rng: random.Random, det_floor: float) -> tuple[Mat3, Vec3, int]:

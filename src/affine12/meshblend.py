@@ -10,13 +10,14 @@ energy covers the full 3x4 block of each face transform, translation
 column included, so the normal equations are generically full rank and
 the solved mesh is anchored in space.
 
-blend_shapes runs each stage over all faces at once: the face frames and
-their closed-form inverses as arrays, one batched pull-back of every
-target face map (affine12.batch), the weighted sum as one contraction, one
-batched forward map, a vectorised sparse assembly with the normal tips
-eliminated face by face, and a preconditioned conjugate gradient that
-solves the three coordinates together, all in NumPy. face_frame and
-per_face_affine are the single-face forms of the same maps.
+blend_shapes runs each stage over all faces at once, in NumPy: the face
+frames and their inverses, one batched pull-back of every target face map
+(affine12.batch), the weighted sum, one batched forward map, a vectorised
+sparse assembly with the normal tips eliminated face by face, and a
+preconditioned conjugate gradient on the three coordinates together.
+Lengths are measured in the rest mesh's extent, so the result does not
+depend on the caller's absolute scale. face_frame and per_face_affine
+are the single-face forms of the same maps.
 """
 
 from __future__ import annotations
@@ -148,9 +149,12 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     residual reaches ||r|| <= 1e-10 ||b||; one still above that after 20
     iterations per unknown raises SolverNotConvergedError.
 
-    Raises NonFiniteInputError for a NaN or infinite vertex or weight, and
-    DegenerateTriangleError for a face below the minimum area; both name
-    the mesh (rest or target k) and the index.
+    Lengths are divided by the rest mesh's largest coordinate extent (1
+    if it is 0), so a set scaled by 2^k blends to the result scaled by 2^k
+    bit for bit, and by any other factor up to roundoff. Raises
+    NonFiniteInputError for a NaN or infinite vertex or weight, and
+    DegenerateTriangleError for a face area of at most 1e-12 extent^2;
+    both name the mesh (rest or target k) and the index.
     """
     if len(weights) != len(cset.targets):
         raise ValueError(f"{len(cset.targets)} targets but {len(weights)} weights")
@@ -164,17 +168,19 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
                        dtype=float).reshape(len(cset.targets), nv, 3)
     faces = _face_array(cset.rest.faces, nv)
     nf = len(faces)
+    unit = (float(np.ptp(rest, axis=0).max()) if nv else 0.0) or 1.0
+    rest, targets = rest / unit, targets / unit
 
-    frames_inv = _inverse(_face_frames(rest[None], faces, ["rest mesh"])[0])
+    frames_inv = _inverse(_face_frames(rest[None], faces, ["rest mesh"], unit)[0])
     names = [f"target {k}" for k in range(len(targets))]
-    linear = _face_frames(targets, faces, names) @ frames_inv
+    linear = _face_frames(targets, faces, names, unit) @ frames_inv
     p0 = rest[faces[:, 0]]
     translation = targets[:, faces[:, 0]] - (linear @ p0[:, :, None])[..., 0]
     params = transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3))
     blended = np.tensordot(w, params.reshape(len(w), nf, 12), axes=1)
 
     coef, rhs = _face_residuals(rest, faces, frames_inv, *params_to_transforms(blended))
-    solved = _solve_vertices(coef, rhs, faces, rest)
+    solved = _solve_vertices(coef, rhs, faces, rest) * unit
     return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
 
 
@@ -196,12 +202,13 @@ def _face_array(faces: list[tuple[int, int, int]], nv: int) -> np.ndarray:
     return f
 
 
-def _face_frames(vertices: np.ndarray, faces: np.ndarray, names: list[str]) -> np.ndarray:
+def _face_frames(vertices: np.ndarray, faces: np.ndarray, names: list[str],
+                 unit: float) -> np.ndarray:
     """Frames [p1-p0, p2-p0, unit normal] of every face of a stack of meshes.
 
-    vertices is (n_meshes, nv, 3) and the result (n_meshes, nf, 3, 3);
-    names label the meshes in the DegenerateTriangleError a face below the
-    minimum area raises.
+    vertices is (n_meshes, nv, 3), in lengths of unit, and the result
+    (n_meshes, nf, 3, 3); names label the meshes in the
+    DegenerateTriangleError of a face below the minimum area.
     """
     p = vertices[:, faces]
     e1 = p[:, :, 1] - p[:, :, 0]
@@ -211,8 +218,8 @@ def _face_frames(vertices: np.ndarray, faces: np.ndarray, names: list[str]) -> n
     bad = np.flatnonzero(area <= _MIN_AREA)
     if bad.size:
         k, j = divmod(int(bad[0]), len(faces))
-        raise DegenerateTriangleError(
-            f"{names[k]} face {j}: triangle area {area[k, j]:.3e} below {_MIN_AREA}")
+        raise DegenerateTriangleError(f"{names[k]} face {j}: triangle area "
+                                      f"{area[k, j] * unit**2:.3e} below {_MIN_AREA * unit**2:g}")
     return np.stack((e1, e2, n / (2.0 * area)[:, :, None]), axis=-1)
 
 

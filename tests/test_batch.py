@@ -210,7 +210,8 @@ def test_gram_recovery_when_the_cubic_returns_l3_not_positive():
         m = mat_mul(mat_mul(q1, Mat3(100.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-6)), q2)
         if sym_eigenvalues(gram(m)).l3 <= 0.0:
             mats.append(m)
-    _check_inverse(mats, tol=1e-7)
+    # the batch leaves these rows to the scalar map, so they equal it bit for bit
+    _check_inverse(mats, tol=0.0)
 
 
 def test_same_typed_errors_and_warnings_naming_the_row():
@@ -251,6 +252,78 @@ def test_same_typed_errors_and_warnings_naming_the_row():
         params_to_transform(AffineParam12.from_vector(p))
     with pytest.raises(OutOfRangeError, match=r"^row 2: rotation angle inf is not finite$"):
         params_to_transforms(np.array([[0.0] * 12, [0.0] * 12, p, p]))
+
+
+# inputs on which the scalar maps raise, one per rule, in the order they are checked
+INVERSE_ERRORS = {
+    "det <= 0": np.diag([1.0, 1.0, -1.0]),
+    "det^2 underflows to a zero Gram eigenvalue": np.diag([1.0, 1.0, 1e-200]),
+    "Gram ratio lost in log1p(x - 1)": np.diag([1.0, 1.0, 1e-9]),
+    "no orthogonal rotation factor": np.diag([1e6, 1.0, 1e-6]),
+}
+FORWARD_ERRORS = {
+    "leading eigenvalue": [0.0] * 6 + [710.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    # exp(l1) overflows, but the rotated eigenvectors would keep every entry finite
+    "rotated leading eigenvalue": [0.0] * 6 + [709.4, -0.4, 0.0, 709.4, 0.0, 679.0],
+    "eigenvalue spread": [0.0] * 6 + [700.0, 0.0, 0.0, -100.0, 0.0, -100.0],
+    "infinite rotation angle": [0.0] * 3 + [1e200, 0.0, 0.0] + [0.0] * 6,
+}
+
+
+def _scalar_inverse(m):
+    return transform_to_params(HomAffine3(Mat3(*np.ravel(m).tolist()), Vec3(0.0, 0.0, 0.0)))
+
+
+def _scalar_forward(p):
+    return params_to_transform(AffineParam12.from_vector(p))
+
+
+def _raises_as(want: Exception, row: int, fn):
+    """fn raises want's type with want's message after "row {row}: "."""
+    with pytest.raises(Exception) as info:
+        fn()
+    assert type(info.value) is type(want)
+    assert str(info.value) == f"row {row}: {want}"
+
+
+@pytest.mark.filterwarnings("ignore::affine12.errors.IllConditionedWarning")
+@pytest.mark.parametrize("m", INVERSE_ERRORS.values(), ids=INVERSE_ERRORS)
+def test_inverse_raises_the_scalar_error_of_the_row(m):
+    want = _outcome(lambda: _scalar_inverse(m))
+    assert isinstance(want, Exception)
+    good = np.eye(3)
+    _raises_as(want, 2, lambda: transforms_to_params(np.array([good, good, m, good]),
+                                                     np.zeros((4, 3))))
+
+
+@pytest.mark.parametrize("p", FORWARD_ERRORS.values(), ids=FORWARD_ERRORS)
+def test_forward_raises_the_scalar_error_of_the_row(p):
+    want = _outcome(lambda: _scalar_forward(p))
+    assert isinstance(want, Exception)
+    _raises_as(want, 2, lambda: params_to_transforms(np.array([[0.0] * 12] * 2 + [p, [0.0] * 12])))
+
+
+@pytest.mark.filterwarnings("ignore::affine12.errors.IllConditionedWarning")
+def test_the_lowest_failing_row_raises():
+    # a rotation check failing on row 1 comes before a determinant failing on row 2
+    rot, flip = INVERSE_ERRORS["no orthogonal rotation factor"], INVERSE_ERRORS["det <= 0"]
+    _raises_as(_outcome(lambda: _scalar_inverse(rot)), 1,
+               lambda: transforms_to_params(np.array([np.eye(3), rot, flip]), np.zeros((3, 3))))
+    spread, lead = FORWARD_ERRORS["eigenvalue spread"], FORWARD_ERRORS["leading eigenvalue"]
+    _raises_as(_outcome(lambda: _scalar_forward(spread)), 1,
+               lambda: params_to_transforms(np.array([[0.0] * 12, spread, lead])))
+
+
+def test_nan_rows_stay_nan_as_in_the_scalar_maps():
+    m = np.eye(3)
+    m[0, 1] = math.nan
+    assert all(math.isnan(v) for v in _scalar_inverse(m).to_vector()[3:])
+    got = transforms_to_params(np.array([np.eye(3), m]), np.zeros((2, 3)))
+    assert np.isnan(got[1, 3:]).all() and np.array_equal(got[0], np.zeros(12))
+    p = [0.0] * 6 + [math.nan] + [0.0] * 5
+    assert all(math.isnan(v) for v in _scalar_forward(p).linear)
+    lin, _ = params_to_transforms(np.array([[0.0] * 12, p]))
+    assert np.isnan(lin[1]).all() and np.array_equal(lin[0], np.eye(3))
 
 
 def test_shapes():

@@ -429,10 +429,19 @@ class TestBenchCommand:
         (["--n", "1", "--det-floor", "nan"], "det_floor must be in (0, 4), got nan"),
         (["--kind", "timing", "--n", "1000", "--det-floor", "nan"],
          "det_floor must be in (0, 4), got nan"),
+        # floors cleared too rarely for the sampler to finish
+        (["--n", "1", "--det-floor", "3.5"], "det_floor 3.5 is above 2.5: too few matrices clear it"),
+        (["--kind", "timing", "--n", "1000", "--det-floor", "3.5"],
+         "det_floor 3.5 is above 2.5: too few matrices clear it"),
     ])
-    def test_bad_value_is_usage_error(self, argv, message, capsys):
-        assert main(["bench", *argv]) == 1
-        assert capsys.readouterr().err == f"usage error: bench: {message}\n"
+    def test_bad_value_is_usage_error(self, argv, message):
+        done = run_cli("bench", *argv)
+        assert done.returncode == 1
+        assert done.stderr == f"usage error: bench: {message}\n"
+
+    def test_top_floor_is_sampled(self, capsys):
+        assert main(["bench", "--kind", "roundtrip", "--n", "2", "--det-floor", "2.5"]) == 0
+        assert "\naffine_roundtrip,2," in capsys.readouterr().out
 
 
 class TestUsage:

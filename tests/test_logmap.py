@@ -202,8 +202,9 @@ def unit_generator(v, angle: float) -> AntiSymMat3:
 
 
 def batch_log_so3(r: Mat3) -> AntiSymMat3:
-    """batch._log_so3 of the single rotation r."""
-    x = _log_so3(Mat3(*(np.array([c]) for c in r)))
+    """batch._log_so3 of the single rotation r, under the errstate of its caller."""
+    with np.errstate(all="ignore"):
+        x = _log_so3(Mat3(*(np.array([c]) for c in r)))
     return AntiSymMat3(*(float(c[0]) for c in x))
 
 

@@ -321,6 +321,30 @@ class TestBlendShapes:
         for got, want in zip(out.vertices[:-1], target.vertices[:-1]):
             assert vec_dist(got, want) <= 1e-8
 
+    @pytest.mark.parametrize("scale", [2.0 ** 20, 2.0 ** -20, 1e6, 1e-6])
+    def test_result_scales_with_the_mesh(self, scale):
+        # lengths are taken in the rest mesh's extent, so a power-of-two
+        # scale leaves every operation exact and another scale moves the
+        # result by roundoff only, interior and extrapolating queries too
+        rest = warp_mesh(grid_mesh(4, 4))
+        targets = [twist_mesh(rest), warp_mesh(twist_mesh(rest))]
+
+        def vertices(cset, w):
+            return np.array(blend_shapes(cset, w).vertices)
+
+        def scaled(mesh):
+            return TriMesh([Vec3(*(scale * c for c in v)) for v in mesh.vertices], mesh.faces)
+
+        cset = CompatibleSet(rest, targets)
+        big = CompatibleSet(scaled(rest), [scaled(t) for t in targets])
+        for w in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.5], [1.4, -0.6]):
+            want = scale * vertices(cset, w)
+            got = vertices(big, w)
+            if math.frexp(scale)[0] == 0.5:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
 
 class TestObjIO:
     def test_roundtrip(self, tmp_path):

@@ -3,12 +3,13 @@
     PYTHONPATH=src python tools/digest.py > digest.txt
 
 For seeds 5 and 23 it runs one cycle of each `perfbench.workloads` class
-(convert, animate, meshblend, cli_batch) and round-trips the envelope
-inputs of the probe. The first line is the `affine12.__file__` in use
-(PYTHONPATH decides it; without one, the checkout's `src`). Then each
-output is one line: its float values as `float.hex`, the SHA-256 of a CLI
-document followed by one line per document entry, or the error's type and
-message. So
+(convert, animate, meshblend, cli_batch), round-trips the envelope inputs
+of the probe, and sends each of them through `affine12.batch` as a one-row
+batch, inverse map then forward map. The first line is the
+`affine12.__file__` in use (PYTHONPATH decides it; without one, the
+checkout's `src`). Then each output is one line: its float values as
+`float.hex`, the SHA-256 of a CLI document followed by one line per
+document entry, or the error's type and message. So
 
     diff <(PYTHONPATH=<other checkout>/src python tools/digest.py) \\
          <(PYTHONPATH=src python tools/digest.py)
@@ -41,6 +42,7 @@ import numpy as np  # noqa: E402
 
 import affine12  # noqa: E402
 from affine12 import HomAffine3, params_to_transform, transform_to_params  # noqa: E402
+from affine12.batch import params_to_transforms, transforms_to_params  # noqa: E402
 from perfbench import inputs  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     ENVELOPE_ITEMS,
@@ -120,6 +122,20 @@ def envelope(seed: int):
             yield f"item {k} {case}", _error(exc)
 
 
+def batch(seed: int):
+    """The envelope inputs as one-row batches through both batch maps."""
+    cases = inputs.envelope_inputs(np.random.default_rng(seed + 3), ENVELOPE_ITEMS)
+    for k, (rows, case) in enumerate(cases):
+        a = np.array(rows, dtype=float).reshape(1, 3, 4)
+        try:
+            p = transforms_to_params(a[:, :, :3], a[:, :, 3])
+            yield f"item {k} {case} param", _hex(p[0])
+            linear, translation = params_to_transforms(p)
+            yield f"item {k} {case} transform", _hex(np.dstack((linear, translation)).ravel())
+        except Exception as exc:  # an output like any other
+            yield f"item {k} {case}", _error(exc)
+
+
 def main() -> int:
     warnings.simplefilter("ignore")   # near-singular inputs warn on purpose
     print(affine12.__file__)
@@ -128,7 +144,7 @@ def main() -> int:
             for name, outputs in (("convert", convert(seed)), ("animate", animate(seed)),
                                   ("meshblend", meshblend(seed)),
                                   ("cli_batch", cli_batch(seed, workdir)),
-                                  ("envelope", envelope(seed))):
+                                  ("envelope", envelope(seed)), ("batch", batch(seed))):
                 for label, line in outputs:
                     print(f"{name} seed {seed} {label}: {line}")
     return 0

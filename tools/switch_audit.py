@@ -150,11 +150,14 @@ def _scalar_half_log(g):
     return log_spd_half_gram(g, sym_eigenvalues(g))
 
 
+# the batch kernels leave the branch not taken to np.where, inf and NaN included
+@np.errstate(all="ignore")
 def _batch_exp(ys):
     y = SymMat3(*np.array(ys).T)
     return np.array(batch._exp_sym3_with_eig(y, batch._sym_eigenvalues(y))).T
 
 
+@np.errstate(all="ignore")
 def _batch_half_log(gs):
     g = SymMat3(*np.array(gs).T)
     return np.array(batch._log_spd_half_gram(g, batch._sym_eigenvalues(g))).T
