@@ -18,16 +18,27 @@ the diagonal and flat spectra, the Newton skip and the 0/0 limits (sinc,
 e2 and L2 at 0, a zero eigenvalue spread), which zero-weight mesh queries
 reach on every row. np.where drops the inf or NaN of a branch not taken.
 
-An unmasked row agrees with the scalar map to roundoff (NumPy's
-transcendentals may differ from libm by an ulp); a masked row equals it
-bit for bit. A masked row costs a scalar call, about 20 us against under
-1 us a row vectorised (2 000 rows, Python 3.11, 2 vCPU): NaN and l3 <= 0
-rows run twenty times slower than when the batch copied their rules.
+The kernels share the scalar ones' arithmetic (the linalg3 formulas, in
+the same order) and take their eight transcendentals (exp, expm1, log,
+log1p, acos, cos, sin, atan2) from one of two tables; sqrt is NumPy's in
+both, being correctly rounded. The libm table maps the math module's
+functions over the rows, so every row of the public maps, masked or not,
+equals the scalar map bit for bit. NumPy's SIMD ufuncs move a quarter to
+a third of the rows by an ulp or more, but the libm table would add about
+a quarter to a mesh query (14.6 to 17.9 ms at 800 faces), so
+blend_shapes keeps the ufunc table through the private entries. Per row
+(2 000 rows, Python 3.11, 2-vCPU Xeon) the inverse map costs about 1.9 us
+with libm, 0.7 us with the ufuncs and 12.5 us scalar; the forward map
+1.05, 0.35 and 5.6 us. A masked row costs its scalar call and about 2.5
+us more, and a call costs about 0.5 ms (inverse) or 0.2 ms (forward)
+however few its rows.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
@@ -59,22 +70,72 @@ from .param import (
 )
 
 
+# the elementwise functions the kernels take from a table
+_Transcendentals = namedtuple("_Transcendentals", "exp expm1 log log1p arccos cos sin arctan2")
+
+
+def _libm(f):
+    """f of the math module mapped over 1-D arrays, with NaN for a domain
+    error and inf for an overflow where math raises (such a row is masked)."""
+    def total(*x):
+        try:
+            return f(*x)
+        except ValueError:
+            return math.nan
+        except OverflowError:
+            return math.inf
+
+    def apply(*arrays):
+        cols = [a.tolist() for a in arrays]
+        try:
+            return np.fromiter(map(f, *cols), float, len(cols[0]))
+        except (ValueError, OverflowError):
+            return np.fromiter(map(total, *cols), float, len(cols[0]))
+    return apply
+
+
+_LIBM = _Transcendentals(*map(_libm, (math.exp, math.expm1, math.log, math.log1p,
+                                      math.acos, math.cos, math.sin, math.atan2)))
+_NUMPY = _Transcendentals(np.exp, np.expm1, np.log, np.log1p,
+                          np.arccos, np.cos, np.sin, np.arctan2)
+
+
 def transforms_to_params(linear, translation) -> np.ndarray:
     """Principal-branch parameters of N transforms, one row each.
 
     `linear` is (N, 3, 3) and `translation` (N, 3); the result is (N, 12)
     in the AffineParam12.to_vector order (translation, rotation log,
-    stretch log). Row i is transform_to_params of transform i, to roundoff,
-    and bit for bit on a masked row (see the module). The error is the
-    scalar map's on the lowest row that has one, prefixed "row i: "; a NaN
-    input row gives NaNs, as in the scalar map. IllConditionedWarning is
-    issued once if any determinant lies in (0, 1e-6).
+    stretch log). Row i is transform_to_params of transform i bit for bit,
+    every row (see the module). The error is the scalar map's on the
+    lowest row that has one, prefixed "row i: ", with i in its `row` and
+    the scalar error as its __cause__; a NaN input row gives NaNs, as in
+    the scalar map. IllConditionedWarning is issued once if any
+    determinant lies in (0, 1e-6).
     """
+    return _transforms_to_params(linear, translation, _LIBM)
+
+
+def params_to_transforms(params) -> tuple[np.ndarray, np.ndarray]:
+    """Transforms of N parameter rows: (N, 12) -> linear (N, 3, 3), translation (N, 3).
+
+    Row i is params_to_transform of row i bit for bit, every row. The
+    error is the scalar map's on the lowest row that has one, prefixed
+    "row i: " and carrying i and the scalar error as transforms_to_params's
+    does: OverflowError for a stretch log beyond the double-precision
+    exponent range, OutOfRangeError for a rotation log whose angle is
+    infinite.
+    """
+    return _params_to_transforms(params, _LIBM)
+
+
+def _transforms_to_params(linear, translation, fn: _Transcendentals) -> np.ndarray:
+    """transforms_to_params with the transcendentals of the table fn."""
     linear = _rows_of(linear, (3, 3), "linear")
     translation = _rows_of(translation, (3,), "translation")
     if len(linear) != len(translation):
         raise ValueError(f"{len(linear)} linear parts but {len(translation)} translations")
-    a = Mat3(*linear.reshape(-1, 9).T.copy())
+    flat = linear.reshape(-1, 9)
+    a = Mat3(*flat.T.copy())
     with np.errstate(all="ignore"):
         det = mat_det(a)
         ill = np.flatnonzero((det > 0.0) & (det < _ILL_CONDITIONED_DET))
@@ -83,15 +144,15 @@ def transforms_to_params(linear, translation) -> np.ndarray:
                 f"{ill.size} determinants close to zero (row {ill[0]}: "
                 f"{float(det[ill[0]]):.3e}); parameters may lose accuracy",
                 IllConditionedWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         g = gram(a)
-        eig, lost = _refined_gram_eig(g, det)
-        half_log = _log_spd_half_gram(g, eig)
-        neg_eig = SymEig3(-0.5 * np.log(eig.l3), -0.5 * np.log(eig.l2), -0.5 * np.log(eig.l1))
-        s_inv = _exp_sym3_with_eig(sym_scale(half_log, -1.0), neg_eig)
+        eig, lost = _refined_gram_eig(g, det, fn)
+        half_log = _log_spd_half_gram(g, eig, fn)
+        neg_eig = SymEig3(-0.5 * fn.log(eig.l3), -0.5 * fn.log(eig.l2), -0.5 * fn.log(eig.l1))
+        s_inv = _exp_sym3_with_eig(sym_scale(half_log, -1.0), neg_eig, fn)
         r = _newton_orthonormalize(mat_mul_sym(a, s_inv))
-        x = _log_so3(r)
+        x = _log_so3(r, fn)
         masked = ((det <= 0.0) | lost
                   | (_orth_defect2(r) > _ROTATION_TOL * _ROTATION_TOL) | (mat_det(r) <= 0.0)
                   | ~np.isfinite(sum(x) + sum(half_log)))
@@ -101,22 +162,15 @@ def transforms_to_params(linear, translation) -> np.ndarray:
     return out
 
 
-def params_to_transforms(params) -> tuple[np.ndarray, np.ndarray]:
-    """Transforms of N parameter rows: (N, 12) -> linear (N, 3, 3), translation (N, 3).
-
-    Row i is params_to_transform of row i, to roundoff, and bit for bit on
-    a masked row. The error is the scalar map's on the lowest row that has
-    one, prefixed "row i: ": OverflowError for a stretch log beyond the
-    double-precision exponent range, OutOfRangeError for a rotation log
-    whose angle is infinite.
-    """
+def _params_to_transforms(params, fn: _Transcendentals) -> tuple[np.ndarray, np.ndarray]:
+    """params_to_transforms with the transcendentals of the table fn."""
     p = _rows_of(params, (12,), "params")
     cols = p.T.copy()
     with np.errstate(all="ignore"):
         y = SymMat3(*cols[6:])
-        eig = _sym_eigenvalues(y)
-        stretch = _exp_sym3_with_eig(y, eig)
-        linear = mat_mul_sym(_exp_so3(AntiSymMat3(*cols[3:6])), stretch)
+        eig = _sym_eigenvalues(y, fn)
+        stretch = _exp_sym3_with_eig(y, eig, fn)
+        linear = mat_mul_sym(_exp_so3(AntiSymMat3(*cols[3:6]), fn), stretch)
         # exp(l1) overflows although a rotated stretch may keep every entry finite
         masked = (eig.l1 > _EXP_ARG_MAX) | ~np.isfinite(sum(linear))
         linear = np.stack(linear, axis=-1)
@@ -135,7 +189,8 @@ def _rows_of(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
     """out[i] = scalar_row(i) for each masked row i, lowest first; an error
-    gets "row i: " in front. The batch has warned already, so the rows don't."""
+    gets "row i: " in front, i in `row` and the scalar error as __cause__.
+    The batch has warned already, so the rows don't."""
     rows = np.flatnonzero(masked)
     if not rows.size:
         return
@@ -145,7 +200,9 @@ def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
             try:
                 out[i] = scalar_row(i)
             except (Affine12Error, ArithmeticError, ValueError) as exc:
-                raise type(exc)(f"row {i}: {exc}") from exc
+                err = type(exc)(f"row {i}: {exc}")
+                err.row = i
+                raise err from exc
 
 
 def _sort3(l1, l2, l3):
@@ -154,7 +211,7 @@ def _sort3(l1, l2, l3):
     return np.maximum(l1, l2), np.minimum(l1, l2), l3
 
 
-def _sym_eigenvalues(y: SymMat3) -> SymEig3:
+def _sym_eigenvalues(y: SymMat3, fn: _Transcendentals) -> SymEig3:
     """linalg3.sym_eigenvalues over a batch (diagonal input returned exactly)."""
     xx, xy, xz, yy, yz, zz = y
     q = (xx + yy + zz) / 3.0
@@ -169,9 +226,9 @@ def _sym_eigenvalues(y: SymMat3) -> SymEig3:
     half_det = 0.5 * (b11 * (b22 * b33 - b23 * b23)
                       - b12 * (b12 * b33 - b23 * b13)
                       + b13 * (b12 * b23 - b22 * b13))
-    ang = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    l1 = q + 2.0 * p * np.cos(ang)
-    l3 = q + 2.0 * p * np.cos(ang + _TWO_THIRDS_PI)
+    ang = fn.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    l1 = q + 2.0 * p * fn.cos(ang)
+    l3 = q + 2.0 * p * fn.cos(ang + _TWO_THIRDS_PI)
     l2 = 3.0 * q - l1 - l3
     diagonal = (xy == 0.0) & (xz == 0.0) & (yz == 0.0)
     return SymEig3(*_sort3(np.where(diagonal, xx, np.where(flat, q, l1)),
@@ -179,10 +236,11 @@ def _sym_eigenvalues(y: SymMat3) -> SymEig3:
                            np.where(diagonal, zz, np.where(flat, q, l3))))
 
 
-def _refined_gram_eig(g: SymMat3, det_linear: np.ndarray) -> tuple[SymEig3, np.ndarray]:
+def _refined_gram_eig(g: SymMat3, det_linear: np.ndarray,
+                      fn: _Transcendentals) -> tuple[SymEig3, np.ndarray]:
     """param._refined_gram_eig over a batch, and the mask of rows whose cubic
     gives l3 <= 0, which the scalar path recovers from the determinant."""
-    l1, l2, l3 = _sym_eigenvalues(g)
+    l1, l2, l3 = _sym_eigenvalues(g, fn)
     c2, c1 = sym_char_coeffs(g)
     c0 = det_linear * det_linear
     lams = [l1, l2, l3]
@@ -197,58 +255,58 @@ def _refined_gram_eig(g: SymMat3, det_linear: np.ndarray) -> tuple[SymEig3, np.n
     return SymEig3(*_sort3(*lams)), l3 <= 0.0
 
 
-def _sinc(theta):
-    return np.where(theta == 0.0, 1.0, np.sin(theta) / theta)
+def _sinc(theta, fn: _Transcendentals):
+    return np.where(theta == 0.0, 1.0, fn.sin(theta) / theta)
 
 
-def _exp_quad_coeff(x):
+def _exp_quad_coeff(x, fn: _Transcendentals):
     xx = x * x
-    return np.where(xx == 0.0, 0.5, (np.expm1(x) - x) / xx)
+    return np.where(xx == 0.0, 0.5, (fn.expm1(x) - x) / xx)
 
 
-def _log_quad_coeff(x):
+def _log_quad_coeff(x, fn: _Transcendentals):
     u = x - 1.0
-    return np.where(u == 0.0, 0.0, (np.log1p(u) - u) / u)
+    return np.where(u == 0.0, 0.0, (fn.log1p(u) - u) / u)
 
 
-def _exp_sym3_with_eig(y: SymMat3, eig: SymEig3) -> SymMat3:
+def _exp_sym3_with_eig(y: SymMat3, eig: SymEig3, fn: _Transcendentals) -> SymMat3:
     """expmap.exp_sym3_with_eig over a batch."""
     l1, l2, l3 = eig
     lp1, lp3 = l1 - l2, l3 - l2
-    e1 = _exp_quad_coeff(lp1)
-    e3 = _exp_quad_coeff(lp3)
+    e1 = _exp_quad_coeff(lp1, fn)
+    e3 = _exp_quad_coeff(lp3, fn)
     spread = lp1 - lp3
     zero = spread == 0.0
     b = np.where(zero, 1.0, 1.0 - lp1 * lp3 * (e1 - e3) / spread)
     c = np.where(zero, 0.5,
                  0.5 + (lp1 * (2.0 * e1 - 1.0) - lp3 * (2.0 * e3 - 1.0)) / (2.0 * spread))
     z = SymMat3(y.xx - l2, y.xy, y.xz, y.yy - l2, y.yz, y.zz - l2)
-    return sym_scale(sym_poly2(1.0, b, c, z), np.exp(l2))
+    return sym_scale(sym_poly2(1.0, b, c, z), fn.exp(l2))
 
 
-def _log_spd_half_gram(g: SymMat3, eig: SymEig3) -> SymMat3:
+def _log_spd_half_gram(g: SymMat3, eig: SymEig3, fn: _Transcendentals) -> SymMat3:
     """logmap.log_spd_half_gram over a batch."""
     l1, l2, l3 = eig
     lp1, lp3 = l1 / l2, l3 / l2
-    t1 = _log_quad_coeff(lp1)
-    t3 = _log_quad_coeff(lp3)
+    t1 = _log_quad_coeff(lp1, fn)
+    t3 = _log_quad_coeff(lp3, fn)
     spread = lp1 - lp3
     zero = spread == 0.0
     a = np.where(zero, -1.5, -1.0 + (lp3 * t1 - lp1 * t3) / spread)
     c = np.where(zero, -0.5, (t1 - t3) / spread)
-    k = 0.5 * (a + np.log(l2))
+    k = 0.5 * (a + fn.log(l2))
     return sym_poly2(k, -0.5 * (a + c), 0.5 * c, sym_scale(g, 1.0 / l2))
 
 
-def _exp_so3(x: AntiSymMat3) -> Mat3:
+def _exp_so3(x: AntiSymMat3, fn: _Transcendentals) -> Mat3:
     """expmap.exp_so3 over a batch."""
     a, b, c = x
     theta = np.sqrt(a * a + b * b + c * c)
-    sh = _sinc(0.5 * theta)
-    return _rodrigues(a, b, c, _sinc(theta), 0.5 * sh * sh)
+    sh = _sinc(0.5 * theta, fn)
+    return _rodrigues(a, b, c, _sinc(theta, fn), 0.5 * sh * sh)
 
 
-def _log_so3(r: Mat3) -> AntiSymMat3:
+def _log_so3(r: Mat3, fn: _Transcendentals) -> AntiSymMat3:
     """logmap.log_so3 over a batch, both sides of cos t = 0 evaluated and selected
     per row; the caller's mask stands for its rotation check."""
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = r
@@ -257,7 +315,7 @@ def _log_so3(r: Mat3) -> AntiSymMat3:
     h13 = 0.5 * (a13 - a31)
     h23 = 0.5 * (a23 - a32)
     sin_t = np.sqrt(h12 * h12 + h13 * h13 + h23 * h23)
-    theta = np.arctan2(sin_t, cos_t)
+    theta = fn.arctan2(sin_t, cos_t)
     acute = cos_t >= 0.0
     inv_sinc = np.where(sin_t == 0.0, 1.0, theta / sin_t)
 

@@ -17,6 +17,14 @@ error naming the entry it was used for. An `interp` sample the library
 cannot map names itself ("{path}: sample i (t = ...): ...").
 Meshes are Wavefront OBJ.
 
+A document is decoded into one (N, 12) array, its determinants checked in
+one pass, and `param`, `unparam` and `blend` convert it in one pass of the
+affine12.batch maps, which equal the scalar maps bit for bit; an error
+still names the lowest entry that has one, with the scalar map's message.
+Near-singular matrix entries give one IllConditionedWarning per document,
+naming their count and the first entry as "row i". Only a track's matrix
+knots are converted one by one, each on the branch of the knot before it.
+
 Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
 newline, byte for byte, and are written with one write. Numbers are written
 as shortest round-trip decimals (up to 17 significant digits), so a
@@ -35,7 +43,11 @@ import functools
 import json
 import math
 import sys
+import warnings
 
+import numpy as np
+
+from .batch import params_to_transforms, transforms_to_params
 from .bench import (
     DEFAULT_SEED,
     roundtrip_error_stats,
@@ -43,8 +55,16 @@ from .bench import (
     write_csv,
 )
 from .blend import CURVE_KINDS, PoseTrack, interpolate_pose
-from .errors import Affine12Error, FileFormatError, NonFiniteInputError, SolverNotConvergedError
-from .linalg3 import mat_det
+from .errors import (
+    Affine12Error,
+    FileFormatError,
+    IllConditionedWarning,
+    NonFiniteInputError,
+    OutOfRangeError,
+    SolverNotConvergedError,
+)
+from .linalg3 import AntiSymMat3, Mat3, _new, mat_det
+from .logmap import _nearest_branch, _reference_angle
 from .meshblend import CompatibleSet, blend_shapes, load_obj, write_obj
 from .param import (
     AffineParam12,
@@ -81,6 +101,7 @@ def _load_json(path: str):
 
 
 _NUMBER_TYPES = {int, float}   # exact types: JSON true/false load as bool
+_LINEAR_COLUMNS = [0, 1, 2, 4, 5, 6, 8, 9, 10]   # of a row-major 3x4 block
 
 
 def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float]]:
@@ -112,27 +133,61 @@ def _name_entry(exc: Exception, path: str, field: str, i: int) -> None:
     exc.args = (f"{path}: {field}[{i}]: {exc}",)
 
 
-def _decode_entry(path: str, field: str, i: int, entry):
+def _entry_error(exc: Exception, path: str) -> Exception:
+    """The scalar map's error behind a batch map's error on row i, named `{path}: transforms[i]`."""
+    err = exc.__cause__
+    _name_entry(err, path, "transforms", exc.row)
+    return err
+
+
+def _decode_entry(path: str, field: str, i: int, entry) -> tuple[str, list[float]]:
+    """_entry_values of entry `field[i]`, and a matrix must have det > 0."""
     kind, values = _entry_values(path, field, i, entry)
-    if kind == "param":
-        return AffineParam12.from_vector(values)
-    transform = HomAffine3.from_rows(values)
-    det = mat_det(transform.linear)
-    if det <= 0.0:
-        raise FileFormatError(
-            f"{path}: {field}[{i}]: linear part has non-positive determinant ({det!r})")
-    return transform
+    if kind == "matrix":
+        det = mat_det(HomAffine3.from_rows(values).linear)
+        if det <= 0.0:
+            raise FileFormatError(
+                f"{path}: {field}[{i}]: linear part has non-positive determinant ({det!r})")
+    return kind, values
 
 
-def load_transforms(path: str) -> list:
-    """Entries of a transform document, each HomAffine3 or AffineParam12."""
+def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A transform document as its matrix mask (N,) and its values (N, 12).
+
+    Row i holds entry i's 12 numbers, the 3x4 block row-major for a matrix
+    entry. The determinants are checked together; the lowest entry that
+    fails any check raises its own error.
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("transforms"), list):
         raise FileFormatError(f"{path}: expected an object with a 'transforms' list")
     items = doc["transforms"]
     if not items:
         raise FileFormatError(f"{path}: 'transforms' list is empty")
-    return [_decode_entry(path, "transforms", i, e) for i, e in enumerate(items)]
+    decoded, error = [], None
+    for i, e in enumerate(items):
+        try:
+            decoded.append(_entry_values(path, "transforms", i, e))
+        except FileFormatError as exc:
+            error = exc
+            break
+    is_matrix = np.array([k == "matrix" for k, _ in decoded], dtype=bool)
+    values = np.array([v for _, v in decoded], dtype=float).reshape(-1, 12)
+    with np.errstate(all="ignore"):
+        det = mat_det(Mat3(*values[:, _LINEAR_COLUMNS].T))
+    bad = np.flatnonzero(is_matrix & (det <= 0.0))
+    if bad.size:
+        _decode_entry(path, "transforms", int(bad[0]), items[bad[0]])   # raises
+    if error is not None:
+        raise error
+    return is_matrix, values
+
+
+def load_transforms(path: str) -> list:
+    """Entries of a transform document, each HomAffine3 or AffineParam12."""
+    is_matrix, values = load_array(path)
+    return [HomAffine3.from_rows(v) if m else AffineParam12.from_vector(v)
+            for m, v in zip(is_matrix.tolist(), values.tolist())]
 
 
 def load_track(path: str) -> PoseTrack:
@@ -152,16 +207,18 @@ def load_track(path: str) -> PoseTrack:
         if not finite:
             raise FileFormatError(f"{path}: knots[{i}].time must be a finite number")
         entry = {k: v for k, v in item.items() if k != "time"}
-        decoded = _decode_entry(path, "knots", i, entry)
-        if isinstance(decoded, HomAffine3):
+        kind, values = _decode_entry(path, "knots", i, entry)
+        if kind == "param":
+            knots.append(AffineParam12.from_vector(values))
+        else:
             # chain each matrix knot to the previous knot's branch, so a
             # track may wind past pi between knots
             try:
-                decoded = transform_to_params(decoded, ref=knots[-1] if knots else None)
+                knots.append(transform_to_params(HomAffine3.from_rows(values),
+                                                 ref=knots[-1] if knots else None))
             except _DOMAIN_ERRORS as exc:
                 _name_entry(exc, path, "knots", i)
                 raise
-        knots.append(decoded)
         times.append(float(t))
     try:
         return PoseTrack(tuple(knots), tuple(times))
@@ -169,28 +226,48 @@ def load_track(path: str) -> PoseTrack:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def _as_params(path: str, entries, refs=None) -> list[AffineParam12]:
-    """Parameter form of each entry; matrices take the branch nearest refs[i] if given."""
-    refs = refs or [None] * len(entries)
-    out = []
+def _pull_back(path: str, is_matrix: np.ndarray, values: np.ndarray, refs=None) -> np.ndarray:
+    """Parameter rows of a document: param rows as given, matrix rows pulled
+    back in one batch, on the branch nearest the rotation log of refs[i] if
+    refs (N, 12) is given. An error is that of transform_to_params on the
+    lowest entry that has one, named after the entry.
+    """
+    block = values.reshape(-1, 3, 4)
+    # a param row goes through as the identity, and its result is dropped
+    linear = np.where(is_matrix[:, None, None], block[:, :, :3], np.eye(3))
     try:
-        for e, r in zip(entries, refs):
-            out.append(e if isinstance(e, AffineParam12) else transform_to_params(e, ref=r))
+        params, failed = transforms_to_params(linear, block[:, :, 3]), None
     except _DOMAIN_ERRORS as exc:
-        _name_entry(exc, path, "transforms", len(out))
-        raise
-    return out
-
-
-def _as_transforms(path: str, entries) -> list[HomAffine3]:
-    out = []
-    try:
-        for e in entries:
-            out.append(e if isinstance(e, HomAffine3) else params_to_transform(e))
-    except _DOMAIN_ERRORS as exc:
-        _name_entry(exc, path, "transforms", len(out))
-        raise
-    return out
+        params, failed = None, exc
+    if refs is not None:
+        rows = np.flatnonzero(is_matrix[:len(values) if failed is None else failed.row]).tolist()
+        shifted = []
+        for i, ref in zip(rows, refs[rows, 3:6].tolist()):
+            ref = _new(AntiSymMat3, ref)
+            try:
+                angle = _reference_angle(ref)
+            except OutOfRangeError as exc:
+                _name_entry(exc, path, "transforms", i)
+                raise
+            if failed is None:
+                principal = _new(AntiSymMat3, params[i, 3:6].tolist())
+                shifted.append(_nearest_branch(principal, ref, angle))
+        if shifted:
+            params[rows, 3:6] = shifted
+    if failed is None:
+        return np.where(is_matrix[:, None], params, values)
+    if refs is not None:
+        # the scalar map on the failed row raises whichever of its checks comes first
+        f = failed.row
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            try:
+                transform_to_params(HomAffine3.from_rows(values[f].tolist()),
+                                    ref=AffineParam12.from_vector(refs[f].tolist()))
+            except _DOMAIN_ERRORS as exc:
+                _name_entry(exc, path, "transforms", f)
+                raise
+    raise _entry_error(failed, path) from None
 
 
 @contextlib.contextmanager
@@ -210,26 +287,27 @@ def _write_transforms(kind: str, rows, output: str | None) -> None:
     byte. Every row is checked finite before the output is opened, so a
     result out of the double range fails the command and leaves no file.
     """
-    for i, row in enumerate(rows):
-        if not all(map(math.isfinite, row)):
-            raise OverflowError(
-                f"transforms[{i}]: the {kind} result is not finite (out of the double range)")
+    rows = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise OverflowError(
+            f"transforms[{bad[0]}]: the {kind} result is not finite (out of the double range)")
     head = '    {\n      "' + kind + '": [\n        '
     text = ("{\n  \"transforms\": [\n"
             + ",\n".join(head + ",\n        ".join(map(repr, row))
-                         + "\n      ]\n    }" for row in rows)
+                         + "\n      ]\n    }" for row in rows.tolist())
             + "\n  ]\n}\n")
     with _output(output) as fh:
         fh.write(text)
 
 
-def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
-    """Reference points from a --consistent-with file, broadcast to count; None without one."""
+def _load_refs(path: str | None, count: int) -> np.ndarray | None:
+    """Parameter rows of a --consistent-with file, broadcast to count; None without one."""
     if not path:
         return None
-    refs = _as_params(path, load_transforms(path))
+    refs = _pull_back(path, *load_array(path))
     if len(refs) == 1:
-        return refs * count
+        return np.broadcast_to(refs, (count, 12))
     if len(refs) != count:
         raise FileFormatError(
             f"{path}: {len(refs)} references for {count} transforms "
@@ -240,28 +318,34 @@ def _load_refs(path: str | None, count: int) -> list[AffineParam12] | None:
 # -- commands -----------------------------------------------------------------
 
 def _cmd_param(args) -> int:
-    entries = load_transforms(args.input)
-    refs = _load_refs(args.consistent_with, len(entries))
-    _write_transforms("param", [p.to_vector() for p in _as_params(args.input, entries, refs)],
-                      args.output)
+    is_matrix, values = load_array(args.input)
+    refs = _load_refs(args.consistent_with, len(values))
+    _write_transforms("param", _pull_back(args.input, is_matrix, values, refs), args.output)
     return 0
 
 
 def _cmd_unparam(args) -> int:
-    transforms = _as_transforms(args.input, load_transforms(args.input))
-    _write_transforms("matrix", [a.to_rows() for a in transforms], args.output)
+    is_matrix, values = load_array(args.input)
+    # a matrix row goes through as zero parameters, and its result is dropped
+    try:
+        linear, translation = params_to_transforms(np.where(is_matrix[:, None], 0.0, values))
+    except _DOMAIN_ERRORS as exc:
+        raise _entry_error(exc, args.input) from None
+    rows = np.concatenate((linear, translation[:, :, None]), axis=2).reshape(-1, 12)
+    _write_transforms("matrix", np.where(is_matrix[:, None], values, rows), args.output)
     return 0
 
 
 def _cmd_blend(args) -> int:
-    entries = load_transforms(args.input)
-    if len(args.weights) != len(entries):
+    is_matrix, values = load_array(args.input)
+    if len(args.weights) != len(values):
         raise FileFormatError(
-            f"{len(entries)} transforms but {len(args.weights)} weights")
-    refs = _load_refs(args.consistent_with, len(entries))
-    params = _as_params(args.input, entries, refs)
+            f"{len(values)} transforms but {len(args.weights)} weights")
+    refs = _load_refs(args.consistent_with, len(values))
+    params = _pull_back(args.input, is_matrix, values, refs)
     try:
-        result = params_to_transform(weighted_param_sum(params, args.weights))
+        result = params_to_transform(weighted_param_sum(
+            map(AffineParam12.from_vector, params.tolist()), args.weights))
     except _DOMAIN_ERRORS as exc:
         exc.args = (f"{args.input}: blend with weights {','.join(map(repr, args.weights))}: {exc}",)
         raise

@@ -194,12 +194,24 @@ def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
     n is the fewest turns that bring t + 2 pi n within pi of it (0 at a gap of
     exactly pi). A half-turn keeps its own axis, so every branch reproduces R.
     A reference angle beyond _MAX_REF_ANGLE (1e7 rad, where 2 pi n would cost
-    the 1e-8 round trip), NaN or inf raises OutOfRangeError.
+    the 1e-8 round trip), NaN or inf raises OutOfRangeError, before R is
+    checked.
     """
+    ref_angle = _reference_angle(ref)
+    return _nearest_branch(log_so3(r), ref, ref_angle)
+
+
+def _reference_angle(ref: AntiSymMat3) -> float:
+    """The angle of a reference generator, checked against _MAX_REF_ANGLE."""
     ref_angle = antisym_angle(ref)
     if not ref_angle <= _MAX_REF_ANGLE:
         raise OutOfRangeError(f"reference angle {ref_angle!r} rad exceeds {_MAX_REF_ANGLE:g}")
-    principal = log_so3(r)
+    return ref_angle
+
+
+def _nearest_branch(principal: AntiSymMat3, ref: AntiSymMat3, ref_angle: float) -> AntiSymMat3:
+    """The branch shift of consistent_log_so3: the log of exp(principal)
+    nearest ref, given the checked reference angle."""
     theta = antisym_angle(principal)
     if theta > 1e-12:
         inv = 1.0 / theta

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import params_to_transforms, transforms_to_params
+from .batch import _NUMPY, _params_to_transforms, _transforms_to_params
 from .errors import (
     DegenerateTriangleError,
     FileFormatError,
@@ -176,10 +176,10 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     linear = _face_frames(targets, faces, names, unit) @ frames_inv
     p0 = rest[faces[:, 0]]
     translation = targets[:, faces[:, 0]] - (linear @ p0[:, :, None])[..., 0]
-    params = transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3))
+    params = _transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3), _NUMPY)
     blended = np.tensordot(w, params.reshape(len(w), nf, 12), axes=1)
 
-    coef, rhs = _face_residuals(rest, faces, frames_inv, *params_to_transforms(blended))
+    coef, rhs = _face_residuals(rest, faces, frames_inv, *_params_to_transforms(blended, _NUMPY))
     solved = _solve_vertices(coef, rhs, faces, rest) * unit
     return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
 

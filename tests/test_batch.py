@@ -1,7 +1,9 @@
-"""The batched parameter maps against the scalar ones, row by row."""
+"""The batched parameter maps against the scalar ones, row by row, bit for bit."""
 
 import math
+import os
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -32,10 +34,10 @@ from conftest import (
     rand_unit_axis,
 )
 
-# NumPy's exp/log/acos/... may differ from libm by an ulp; the Gram route
-# amplifies that by up to cond(A)^2 ~ 1e6 on the det > 1e-3 sample, which
-# kept the largest measured difference near 5e-13.
-TOL = 1e-11
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+from perfbench import inputs  # noqa: E402
+from perfbench.workloads import ENVELOPE_ITEMS, CliBatch  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -51,8 +53,14 @@ def _outcome(fn):
         return exc
 
 
-def _check_inverse(mats, tol=TOL):
-    """Batch and scalar inverse maps agree on every row, or raise the same error."""
+def _bits(values) -> list[str]:
+    """float.hex of every entry: equal lists are equal bit for bit, NaN and -0.0 included."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _check_inverse(mats):
+    """The batch inverse map equals the scalar one bit for bit on every row,
+    or raises the error of the lowest row that has one."""
     lin = np.array(mats, dtype=float).reshape(-1, 3, 3)
     rng = np.random.default_rng(len(mats))
     tr = rng.uniform(-2.0, 2.0, (len(mats), 3))
@@ -60,32 +68,23 @@ def _check_inverse(mats, tol=TOL):
         warnings.simplefilter("ignore", IllConditionedWarning)
         want = [_outcome(lambda m=m, t=t: transform_to_params(HomAffine3(Mat3(*m), Vec3(*t))))
                 for m, t in zip(lin.reshape(-1, 9).tolist(), tr.tolist())]
-        errors = [type(w) for w in want if isinstance(w, Exception)]
+        errors = [(i, w) for i, w in enumerate(want) if isinstance(w, Exception)]
         if errors:
-            with pytest.raises(errors[0]):
-                transforms_to_params(lin, tr)
+            _raises_as(errors[0][1], errors[0][0], lambda: transforms_to_params(lin, tr))
             return
         got = transforms_to_params(lin, tr)
-    want = np.array([w.to_vector() for w in want])
     assert got.shape == (len(mats), 12)
-    # at an exact half-turn X and -X are both principal logs, and roundoff
-    # far below the rotation's own accuracy picks the sign
-    half_turn = np.abs(np.linalg.norm(want[:, 3:6], axis=1) - math.pi) <= 1e-12
-    flipped = want.copy()
-    flipped[half_turn, 3:6] *= -1.0
-    bound = tol * np.maximum(1.0, np.abs(want))
-    assert np.all((np.abs(got - want) <= bound).all(axis=1)
-                  | (np.abs(got - flipped) <= bound).all(axis=1))
+    assert _bits(got) == _bits([w.to_vector() for w in want])
 
 
-def _check_forward(params, tol=TOL):
-    """Batch and scalar forward maps agree on every row."""
+def _check_forward(params):
+    """The batch forward map equals the scalar one bit for bit on every row."""
     p = np.array(params, dtype=float).reshape(-1, 12)
     lin, tr = params_to_transforms(p)
     want = np.array([params_to_transform(AffineParam12.from_vector(v)).to_rows()
                      for v in p.tolist()]).reshape(-1, 3, 4)
-    assert np.all(np.abs(lin - want[:, :, :3]) <= tol * np.maximum(1.0, np.abs(want[:, :, :3])))
-    assert np.array_equal(tr, want[:, :, 3])
+    assert _bits(lin) == _bits(want[:, :, :3])
+    assert _bits(tr) == _bits(want[:, :, 3])
 
 
 def _linear_of(params):
@@ -210,8 +209,8 @@ def test_gram_recovery_when_the_cubic_returns_l3_not_positive():
         m = mat_mul(mat_mul(q1, Mat3(100.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-6)), q2)
         if sym_eigenvalues(gram(m)).l3 <= 0.0:
             mats.append(m)
-    # the batch leaves these rows to the scalar map, so they equal it bit for bit
-    _check_inverse(mats, tol=0.0)
+    # the batch leaves these rows to the scalar map
+    _check_inverse(mats)
 
 
 def test_same_typed_errors_and_warnings_naming_the_row():
@@ -336,3 +335,44 @@ def test_shapes():
         transforms_to_params(np.zeros((2, 3, 3)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         params_to_transforms(np.zeros((2, 11)))
+
+
+def _same_outcome(got, want, values):
+    """got is want's values bit for bit, or want's error type with its message after "row 0: "."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == f"row 0: {want}"
+    else:
+        assert not isinstance(got, Exception), got
+        assert _bits(got) == _bits(values(want))
+
+
+@pytest.mark.filterwarnings("ignore::affine12.errors.IllConditionedWarning")
+@pytest.mark.parametrize("seed", [5, 23])
+def test_one_row_batches_of_the_envelope_inputs_are_the_scalar_outcomes(seed):
+    # valid inputs far outside the protocol's scales, where many rows fail or
+    # overflow to NaN: each is a one-row batch, inverse map then forward map
+    cases = inputs.envelope_inputs(np.random.default_rng(seed + 3), ENVELOPE_ITEMS)
+    for rows, _ in cases:
+        a = np.array(rows, dtype=float).reshape(1, 3, 4)
+        want = _outcome(lambda: transform_to_params(HomAffine3.from_rows(rows)))
+        got = _outcome(lambda: transforms_to_params(a[:, :, :3], a[:, :, 3]))
+        _same_outcome(got, want, AffineParam12.to_vector)
+        if isinstance(want, Exception):
+            continue
+        _same_outcome(_outcome(lambda: np.dstack(params_to_transforms(got))),
+                      _outcome(lambda: params_to_transform(want)), HomAffine3.to_rows)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_the_benchmark_streams_are_the_scalar_maps_bit_for_bit(seed):
+    # the convert workload's 10 000 transforms and the cli_batch document's 400
+    for stream in (inputs.transform_stream(seed, 10000),
+                   inputs.transform_stream(seed, 400, mix=CliBatch.MIX)):
+        rows = [r for r, _ in stream]
+        want = [transform_to_params(HomAffine3.from_rows(r)) for r in rows]
+        a = np.array(rows).reshape(-1, 3, 4)
+        got = transforms_to_params(a[:, :, :3], a[:, :, 3])
+        assert _bits(got) == _bits([p.to_vector() for p in want])
+        lin, tr = params_to_transforms(got)
+        assert _bits(np.dstack((lin, tr))) == _bits([params_to_transform(p).to_rows()
+                                                     for p in want])

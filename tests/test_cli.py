@@ -1,22 +1,34 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from affine12.cli import main
-from affine12.linalg3 import Vec3, gram
+from affine12.errors import IllConditionedWarning, NotARotationError
+from affine12.linalg3 import MAT3_IDENTITY, Mat3, Vec3, gram, mat_mul, sym_eigenvalues
 from affine12.meshblend import TriMesh, load_obj, save_obj
 from affine12.param import (
     AffineParam12,
     HomAffine3,
     params_to_transform,
     transform_to_params,
+    weighted_param_sum,
 )
-from conftest import axis_angle_rotation, vec_dist
+from conftest import (
+    axis_angle_rotation,
+    conjugate_spectrum,
+    generator_for,
+    rand_rotation,
+    rand_unit_axis,
+    sym_to_mat3,
+    vec_dist,
+)
 
 IDENTITY_ROWS = [1.0, 0.0, 0.0, 0.0,
                  0.0, 1.0, 0.0, 0.0,
@@ -545,3 +557,196 @@ class TestParserReuse:
             assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err)
             if written is not None:
                 assert Path("param.json").read_text() == written
+
+
+def _regime_rows(rng):
+    """3x4 rows over the kernels' regimes, each a transform the library converts.
+
+    Near half-turns and obtuse, small and zero angles; confluent, diagonal
+    and flat stretches; and Gram spectra whose cubic returns l3 <= 0 (the
+    batch leaves those rows to the scalar map).
+    """
+    stretches = [Mat3(1.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.7),
+                 sym_to_mat3(conjugate_spectrum(rand_rotation(rng), (1.0 + 1e-10, 1.0, 1.0 - 1e-10))),
+                 sym_to_mat3(conjugate_spectrum(rand_rotation(rng), (2.0, 2.0, 0.5)))]
+    linear = [Mat3(2.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.5), MAT3_IDENTITY]
+    for angle in (math.pi, math.pi - 1e-9, math.pi - 1e-4, 2.5, 1.6, 1e-9, 1e-5, 0.7):
+        r = axis_angle_rotation(rand_unit_axis(rng), angle)
+        linear.extend(mat_mul(r, s) for s in stretches)
+    found = 0
+    while found < 3:
+        q1 = axis_angle_rotation(rand_unit_axis(rng), rng.uniform(0.0, 3.0))
+        q2 = axis_angle_rotation(rand_unit_axis(rng), rng.uniform(0.0, 3.0))
+        m = mat_mul(mat_mul(q1, Mat3(100.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-6)), q2)
+        if sym_eigenvalues(gram(m)).l3 <= 0.0:
+            try:
+                transform_to_params(HomAffine3(m, Vec3(0.0, 0.0, 0.0)))
+            except NotARotationError:
+                continue
+            linear.append(m)
+            found += 1
+    return [list(HomAffine3(m, Vec3(*(rng.uniform(-3.0, 3.0) for _ in range(3)))).to_rows())
+            for m in linear]
+
+
+def _mixed_document(rng):
+    """Matrix entries over the regimes, with param entries (some past a half-turn) between them."""
+    entries = []
+    for k, rows in enumerate(_regime_rows(rng)):
+        entries.append({"matrix": rows})
+        if k % 4 == 1:
+            x = generator_for(rand_unit_axis(rng), rng.uniform(0.0, 7.0))
+            entries.append({"param": [rng.uniform(-1, 1) for _ in range(3)] + list(x)
+                            + list(conjugate_spectrum(rand_rotation(rng), (0.3, 0.0, -0.2)))})
+    return entries
+
+
+def _winding_track(rng):
+    """Matrix entries turning about one axis through two full turns, and
+    references near each one's winding angle (matrices below a half-turn)."""
+    axis = rand_unit_axis(rng)
+    entries, refs = [], []
+    for k in range(16):
+        angle = 0.8 * k
+        entries.append({"matrix": rotation_rows(axis, angle, (0.1 * k, 0.0, 1.0))})
+        if k in (1, 3):
+            refs.append({"matrix": rotation_rows(axis, angle - 0.3)})
+        else:
+            refs.append({"param": [0.0] * 3 + list(generator_for(axis, angle + (-0.4) ** k))
+                         + [0.0] * 6})
+    return entries, refs
+
+
+def _scalar_params(entries, refs=None):
+    """The parameter points of a document through the scalar maps, entry by entry."""
+    out = []
+    for k, e in enumerate(entries):
+        (kind, values), = e.items()
+        values = [float(v) for v in values]
+        if kind == "param":
+            out.append(AffineParam12.from_vector(values))
+        else:
+            ref = None if refs is None else _scalar_params([refs[k % len(refs)]])[0]
+            out.append(transform_to_params(HomAffine3.from_rows(values), ref=ref))
+    return out
+
+
+def _scalar_matrices(entries):
+    out = []
+    for e in entries:
+        (kind, values), = e.items()
+        values = [float(v) for v in values]
+        out.append(values if kind == "matrix"
+                   else list(params_to_transform(AffineParam12.from_vector(values)).to_rows()))
+    return out
+
+
+class TestBatchConversion:
+    """param, unparam and blend convert a document in one batch pass, whose
+    output is the document of the scalar maps byte for byte."""
+
+    @staticmethod
+    def _cases(tmp_path):
+        rng = random.Random(16)
+        mixed = _mixed_document(rng)
+        track, track_refs = _winding_track(rng)
+        refs_one = [{"param": [0.0] * 3 + list(generator_for(rand_unit_axis(rng), 5.0)) + [0.0] * 6}]
+        refs_each = [{"param": [0.0] * 3 + list(generator_for(rand_unit_axis(rng), 6.0)) + [0.0] * 6}
+                     if k % 3 else {"matrix": rotation_rows(rand_unit_axis(rng), 2.0)}
+                     for k in range(len(mixed))]
+        for name, entries, refs in (("mixed", mixed, None), ("mixed-one-ref", mixed, refs_one),
+                                    ("mixed-refs", mixed, refs_each), ("track", track, None),
+                                    ("track-refs", track, track_refs)):
+            src = tmp_path / f"{name}.json"
+            write_transforms(src, entries)
+            argv = [str(src)]
+            if refs is not None:
+                ref_path = tmp_path / f"{name}-refs.json"
+                write_transforms(ref_path, refs)
+                argv += ["--consistent-with", str(ref_path)]
+            yield entries, refs, argv
+
+    def test_param_is_the_scalar_document(self, tmp_path, capsys):
+        for entries, refs, argv in self._cases(tmp_path):
+            want = _json_text({"transforms": [{"param": list(p.to_vector())}
+                                              for p in _scalar_params(entries, refs)]})
+            assert main(["param", *argv]) == 0
+            assert capsys.readouterr().out == want
+
+    def test_unparam_is_the_scalar_document(self, tmp_path, capsys):
+        for entries, refs, argv in self._cases(tmp_path):
+            if refs is not None:
+                continue
+            want = _json_text({"transforms": [{"matrix": m} for m in _scalar_matrices(entries)]})
+            assert main(["unparam", *argv]) == 0
+            assert capsys.readouterr().out == want
+
+    def test_blend_is_the_scalar_document(self, tmp_path, capsys):
+        for entries, refs, argv in self._cases(tmp_path):
+            weights = [0.5 / (1 + k % 5) for k in range(len(entries))]
+            result = params_to_transform(weighted_param_sum(_scalar_params(entries, refs), weights))
+            assert main(["blend", *argv, "--weights", ",".join(map(repr, weights))]) == 0
+            assert capsys.readouterr().out == _json_text(
+                {"transforms": [{"matrix": list(result.to_rows())}]})
+
+    def test_track_takes_the_winding_branches(self, tmp_path, capsys):
+        entries, refs, argv = list(self._cases(tmp_path))[-1]
+        assert main(["param", *argv]) == 0
+        angles = [math.sqrt(sum(v * v for v in e["param"][3:6]))
+                  for e in json.loads(capsys.readouterr().out)["transforms"]]
+        assert all(abs(a - 0.8 * k) <= 1e-9 for k, a in enumerate(angles))
+
+    def test_lowest_bad_entry_is_reported(self, tmp_path, capsys):
+        # entry 0 has det <= 0 and entry 3 is malformed: entries are checked in order
+        src = tmp_path / "in.json"
+        flipped = list(IDENTITY_ROWS)
+        flipped[0] = -1.0
+        write_transforms(src, [{"matrix": flipped}, {"matrix": IDENTITY_ROWS},
+                               {"param": [0.0] * 12}, {"matrix": [1, 2, 3]}])
+        for command in ("param", "unparam"):
+            assert main([command, str(src)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {src}: transforms[0]: linear part has non-positive determinant (-1.0)\n")
+
+    def test_reference_and_rotation_errors_in_entry_order(self, tmp_path, capsys):
+        # within an entry the reference angle is checked before the rotation
+        # factor; across entries the lower entry's error wins
+        src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        far = [0, 0, 0, 1e17, 0, 0, 0, 0, 0, 0, 0, 0]
+        write_transforms(refs, [{"param": [0.0] * 12}, {"param": far}])
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}, {"matrix": ILL_CONDITIONED_ROWS}])
+        assert main(["param", str(src), "--consistent-with", str(refs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[1]: reference angle 1e+17 rad exceeds 1e+07\n")
+        write_transforms(src, [{"matrix": ILL_CONDITIONED_ROWS}, {"matrix": IDENTITY_ROWS}])
+        assert main(["param", str(src), "--consistent-with", str(refs)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {src}: transforms[0]: ||R^T R - I||_F")
+        # the polar split comes before the reference angle
+        write_transforms(src, [{"matrix": IDENTITY_ROWS},
+                               {"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-200, 0]}])
+        with pytest.warns(IllConditionedWarning):
+            assert main(["param", str(src), "--consistent-with", str(refs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[1]: smallest eigenvalue 0.0 is not positive\n")
+
+    def test_near_singular_entries_warn_once(self, tmp_path):
+        # the batch warns once per call, naming the count and the first row;
+        # the output is that of the scalar maps
+        src = tmp_path / "in.json"
+        entries = [{"matrix": IDENTITY_ROWS},
+                   {"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-7, 0]},
+                   {"param": [0.0] * 12},
+                   {"matrix": [1e-3, 0, 0, 0, 0, 1e-3, 0, 0, 0, 0, 1e-3, 0]}]
+        write_transforms(src, entries)
+        done = run_cli("param", src)
+        assert done.returncode == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            want = _json_text({"transforms": [{"param": list(p.to_vector())}
+                                              for p in _scalar_params(entries)]})
+        assert done.stdout == want
+        first, source, rest = done.stderr.split("\n", 2)
+        assert first.endswith(": IllConditionedWarning: 2 determinants close to zero "
+                              "(row 1: 1.000e-07); parameters may lose accuracy")
+        assert os.path.join("affine12", "cli.py") in first and rest == ""

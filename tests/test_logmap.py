@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine12 import logmap
-from affine12.batch import _log_so3, params_to_transforms, transforms_to_params
+from affine12.batch import _NUMPY, _log_so3, params_to_transforms, transforms_to_params
 from affine12.errors import NotARotationError, NotPositiveDefiniteError, OutOfRangeError
 from affine12.expmap import exp_so3, exp_sym3
 from affine12.linalg3 import (
@@ -202,9 +202,10 @@ def unit_generator(v, angle: float) -> AntiSymMat3:
 
 
 def batch_log_so3(r: Mat3) -> AntiSymMat3:
-    """batch._log_so3 of the single rotation r, under the errstate of its caller."""
+    """batch._log_so3 of the single rotation r with NumPy's ufuncs (with libm it
+    is log_so3 bit for bit), under the errstate of its caller."""
     with np.errstate(all="ignore"):
-        x = _log_so3(Mat3(*(np.array([c]) for c in r)))
+        x = _log_so3(Mat3(*(np.array([c]) for c in r)), _NUMPY)
     return AntiSymMat3(*(float(c[0]) for c in x))
 
 

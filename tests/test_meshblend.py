@@ -321,6 +321,28 @@ class TestBlendShapes:
         for got, want in zip(out.vertices[:-1], target.vertices[:-1]):
             assert vec_dist(got, want) <= 1e-8
 
+    def test_batch_maps_run_on_numpys_ufuncs(self, monkeypatch):
+        # the libm table would add about a third to a query, so blend_shapes
+        # calls the batch kernels through the private entries with NumPy's ufuncs
+        import affine12.meshblend
+        from affine12 import batch
+
+        tables = []
+
+        def spy(entry):
+            def call(*args):
+                tables.append(args[-1])
+                return entry(*args)
+            return call
+
+        monkeypatch.setattr(affine12.meshblend, "_transforms_to_params",
+                            spy(batch._transforms_to_params))
+        monkeypatch.setattr(affine12.meshblend, "_params_to_transforms",
+                            spy(batch._params_to_transforms))
+        rest = grid_mesh(3, 3)
+        blend_shapes(CompatibleSet(rest, [warp_mesh(rest)]), [0.5])
+        assert tables == [batch._NUMPY, batch._NUMPY]
+
     @pytest.mark.parametrize("scale", [2.0 ** 20, 2.0 ** -20, 1e6, 1e-6])
     def test_result_scales_with_the_mesh(self, scale):
         # lengths are taken in the rest mesh's extent, so a power-of-two

@@ -5,7 +5,9 @@
 For seeds 5 and 23 it runs one cycle of each `perfbench.workloads` class
 (convert, animate, meshblend, cli_batch), round-trips the envelope inputs
 of the probe, and sends each of them through `affine12.batch` as a one-row
-batch, inverse map then forward map. The first line is the
+batch, inverse map then forward map. Last, the convert cycle's 10 000
+transforms go through both batch maps as one batch (`batch_cycle`, whose
+lines have the labels of the convert section's). The first line is the
 `affine12.__file__` in use (PYTHONPATH decides it; without one, the
 checkout's `src`). Then each output is one line: its float values as
 `float.hex`, the SHA-256 of a CLI document followed by one line per
@@ -136,6 +138,18 @@ def batch(seed: int):
             yield f"item {k} {case}", _error(exc)
 
 
+def batch_cycle(seed: int):
+    """The convert workload's whole cycle as one batch, inverse map then forward map."""
+    a = np.array(Convert(seed).rows, dtype=float).reshape(-1, 3, 4)
+    try:
+        linear, translation = params_to_transforms(transforms_to_params(a[:, :, :3], a[:, :, 3]))
+    except Exception as exc:  # an output like any other
+        yield "cycle", _error(exc)
+        return
+    for k, rows in enumerate(np.dstack((linear, translation)).reshape(-1, 12)):
+        yield f"item {k}", _hex(rows)
+
+
 def main() -> int:
     warnings.simplefilter("ignore")   # near-singular inputs warn on purpose
     print(affine12.__file__)
@@ -144,7 +158,8 @@ def main() -> int:
             for name, outputs in (("convert", convert(seed)), ("animate", animate(seed)),
                                   ("meshblend", meshblend(seed)),
                                   ("cli_batch", cli_batch(seed, workdir)),
-                                  ("envelope", envelope(seed)), ("batch", batch(seed))):
+                                  ("envelope", envelope(seed)), ("batch", batch(seed)),
+                                  ("batch_cycle", batch_cycle(seed))):
                 for label, line in outputs:
                     print(f"{name} seed {seed} {label}: {line}")
     return 0

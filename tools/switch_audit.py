@@ -21,7 +21,8 @@ threshold (exp 1e-300 to 1e-4, log ratio gaps 1e-16 to 1e-3), 200 cases a
 band, exact and perturbed as above. Every other case is centred at 0 for
 the exp and at 1 for the log, so that the smallest gaps are representable;
 the rest have the random centre of the straddle cases. Each band reports
-the scalar kernel and the `affine12.batch` kernel on the same inputs. Their
+the scalar kernel and the `affine12.batch` kernel (on NumPy's ufuncs, as
+blend_shapes runs it; on libm it is the scalar kernel) on the same inputs. Their
 error is the largest entry of |got - reference|, over the largest
 reference entry for exp and over max(1, largest reference entry) for the
 half-log (the half-log of a near-identity is near 0).
@@ -150,17 +151,22 @@ def _scalar_half_log(g):
     return log_spd_half_gram(g, sym_eigenvalues(g))
 
 
-# the batch kernels leave the branch not taken to np.where, inf and NaN included
+# the batch kernels leave the branch not taken to np.where, inf and NaN included;
+# they run on NumPy's ufuncs, as in blend_shapes (on libm they equal the scalar
+# kernels bit for bit)
+_UFUNCS = batch._NUMPY
+
+
 @np.errstate(all="ignore")
 def _batch_exp(ys):
     y = SymMat3(*np.array(ys).T)
-    return np.array(batch._exp_sym3_with_eig(y, batch._sym_eigenvalues(y))).T
+    return np.array(batch._exp_sym3_with_eig(y, batch._sym_eigenvalues(y, _UFUNCS), _UFUNCS)).T
 
 
 @np.errstate(all="ignore")
 def _batch_half_log(gs):
     g = SymMat3(*np.array(gs).T)
-    return np.array(batch._log_spd_half_gram(g, batch._sym_eigenvalues(g))).T
+    return np.array(batch._log_spd_half_gram(g, batch._sym_eigenvalues(g, _UFUNCS), _UFUNCS)).T
 
 
 # (scalar kernel, batch kernel, reference, floor of the band error's scale)
