@@ -4,19 +4,23 @@ The closed-form kernels need no eigenvectors and no iteration, so a batch
 runs as a fixed sequence of array operations, under np.errstate(all=
 "ignore") and with no check on the way. One mask then marks the rows this
 vectorised path does not cover: for the inverse map det <= 0, a cubic
-Gram eigenvalue l3 <= 0, a rotation factor failing log_so3's check, or a
-non-finite output; for the forward map a leading stretch eigenvalue past
-exp's range, or a non-finite output. Each masked row, lowest first, takes
-the value of transform_to_params / params_to_transform on its input, or
-raises that map's error prefixed "row i: ". So every domain rule,
-recovery and message exists once, in the scalar path.
+Gram eigenvalue l3 <= 0, a rotation factor failing log_so3's check, a
+non-finite output, or a reference angle that is not at most 1e7 rad
+(NaN and inf included); for the forward map a leading stretch eigenvalue
+past exp's range, or a non-finite output. Each masked row, lowest first,
+takes the value of transform_to_params / params_to_transform on its input
+(and its reference), or raises that map's error prefixed "row i: ". So
+every domain rule, recovery and message exists once, in the scalar path,
+and so does the order of the checks within a row.
 
 What ordinary inputs reach stays vectorised, each branch an np.where with
 the scalar test and its owner's threshold: the obtuse rotation-log axis
 (an all-obtuse batch would run six times slower through the scalar log),
-the diagonal and flat spectra, the Newton skip and the 0/0 limits (sinc,
+the diagonal and flat spectra, the Newton skip, the 0/0 limits (sinc,
 e2 and L2 at 0, a zero eigenvalue spread), which zero-weight mesh queries
-reach on every row. np.where drops the inf or NaN of a branch not taken.
+reach on every row, and the whole-turn shift of consistent_log_so3 toward
+a reference, its tie at a gap of exactly pi kept. np.where drops the inf
+or NaN of a branch not taken.
 
 The kernels share the scalar ones' arithmetic (the linalg3 formulas, in
 the same order) and take their eight transcendentals (exp, expm1, log,
@@ -58,7 +62,7 @@ from .linalg3 import (
     sym_poly2,
     sym_scale,
 )
-from .logmap import _ROTATION_TOL, _orth_defect2
+from .logmap import _AXIS_FLOOR, _MAX_REF_ANGLE, _ROTATION_TOL, _TWO_PI, _orth_defect2
 from .param import (
     _ILL_CONDITIONED_DET,
     _NEWTON_SKIP,
@@ -100,19 +104,23 @@ _NUMPY = _Transcendentals(np.exp, np.expm1, np.log, np.log1p,
                           np.arccos, np.cos, np.sin, np.arctan2)
 
 
-def transforms_to_params(linear, translation) -> np.ndarray:
-    """Principal-branch parameters of N transforms, one row each.
+def transforms_to_params(linear, translation, refs=None) -> np.ndarray:
+    """Parameters of N transforms, one row each.
 
     `linear` is (N, 3, 3) and `translation` (N, 3); the result is (N, 12)
     in the AffineParam12.to_vector order (translation, rotation log,
-    stretch log). Row i is transform_to_params of transform i bit for bit,
-    every row (see the module). The error is the scalar map's on the
-    lowest row that has one, prefixed "row i: ", with i in its `row` and
-    the scalar error as its __cause__; a NaN input row gives NaNs, as in
-    the scalar map. IllConditionedWarning is issued once if any
+    stretch log). `refs` is None (principal branch) or one (N, 12)
+    parameter row per transform, whose rotation log (columns 3-5) picks
+    that row's branch. Row i is transform_to_params(transform i,
+    ref=refs[i]) bit for bit, every row (see the module). The error is the
+    scalar map's on the lowest row that has one, prefixed "row i: ", with
+    i in its `row` and the scalar error as its __cause__: within a row the
+    scalar map's order holds (a polar-split error before an out-of-range
+    reference angle before a failed rotation check). A NaN input row gives
+    NaNs, as in the scalar map. IllConditionedWarning is issued once if any
     determinant lies in (0, 1e-6).
     """
-    return _transforms_to_params(linear, translation, _LIBM)
+    return _transforms_to_params(linear, translation, _LIBM, refs)
 
 
 def params_to_transforms(params) -> tuple[np.ndarray, np.ndarray]:
@@ -128,12 +136,16 @@ def params_to_transforms(params) -> tuple[np.ndarray, np.ndarray]:
     return _params_to_transforms(params, _LIBM)
 
 
-def _transforms_to_params(linear, translation, fn: _Transcendentals) -> np.ndarray:
+def _transforms_to_params(linear, translation, fn: _Transcendentals, refs=None) -> np.ndarray:
     """transforms_to_params with the transcendentals of the table fn."""
     linear = _rows_of(linear, (3, 3), "linear")
     translation = _rows_of(translation, (3,), "translation")
     if len(linear) != len(translation):
         raise ValueError(f"{len(linear)} linear parts but {len(translation)} translations")
+    if refs is not None:
+        refs = _rows_of(refs, (12,), "refs")
+        if len(refs) != len(linear):
+            raise ValueError(f"{len(linear)} transforms but {len(refs)} references")
     flat = linear.reshape(-1, 9)
     a = Mat3(*flat.T.copy())
     with np.errstate(all="ignore"):
@@ -156,9 +168,15 @@ def _transforms_to_params(linear, translation, fn: _Transcendentals) -> np.ndarr
         masked = ((det <= 0.0) | lost
                   | (_orth_defect2(r) > _ROTATION_TOL * _ROTATION_TOL) | (mat_det(r) <= 0.0)
                   | ~np.isfinite(sum(x) + sum(half_log)))
+        if refs is not None:
+            ref = AntiSymMat3(*refs[:, 3:6].T)
+            ref_angle = np.sqrt(ref.m12 * ref.m12 + ref.m13 * ref.m13 + ref.m23 * ref.m23)
+            masked |= ~(ref_angle <= _MAX_REF_ANGLE)
+            x = _nearest_branch(x, ref, ref_angle)
     out = np.column_stack((translation, *x, *half_log))
-    _scalar_rows(out, masked, lambda i: transform_to_params(HomAffine3(
-        Mat3(*linear[i].ravel().tolist()), Vec3(*translation[i].tolist()))).to_vector())
+    _scalar_rows(out, masked, lambda i: transform_to_params(
+        HomAffine3(Mat3(*linear[i].ravel().tolist()), Vec3(*translation[i].tolist())),
+        ref=None if refs is None else AffineParam12.from_vector(refs[i].tolist())).to_vector())
     return out
 
 
@@ -335,3 +353,20 @@ def _log_so3(r: Mat3, fn: _Transcendentals) -> AntiSymMat3:
     return AntiSymMat3(np.where(acute, h12 * inv_sinc, -v3 * scale),
                        np.where(acute, h13 * inv_sinc, v2 * scale),
                        np.where(acute, h23 * inv_sinc, -v1 * scale))
+
+
+def _nearest_branch(x: AntiSymMat3, ref: AntiSymMat3, ref_angle) -> AntiSymMat3:
+    """The branch shift of logmap.consistent_log_so3 over a batch, given the
+    reference angles; the caller masks those out of range."""
+    theta = np.sqrt(x.m12 * x.m12 + x.m13 * x.m13 + x.m23 * x.m23)
+    own_axis = theta > _AXIS_FLOOR
+    inv = 1.0 / np.where(own_axis, theta, ref_angle)
+    k12, k13, k23 = (np.where(own_axis, c, rc) * inv for c, rc in zip(x, ref))
+    theta = np.where(own_axis, theta, 0.0)
+    target = np.where(k12 * ref.m12 + k13 * ref.m13 + k23 * ref.m23 >= 0.0, ref_angle, -ref_angle)
+    gap = target - theta
+    up, down = gap > math.pi, gap < -math.pi
+    n = np.where(up, np.ceil((gap - math.pi) / _TWO_PI), -np.ceil((-gap - math.pi) / _TWO_PI))
+    angle = theta + n * _TWO_PI
+    # with neither an axis of its own nor a reference, the gap is -0.0: x is kept
+    return AntiSymMat3(*(np.where(up | down, k * angle, c) for k, c in zip((k12, k13, k23), x)))

@@ -19,7 +19,9 @@ Meshes are Wavefront OBJ.
 
 A document is decoded into one (N, 12) array, its determinants checked in
 one pass, and `param`, `unparam` and `blend` convert it in one pass of the
-affine12.batch maps, which equal the scalar maps bit for bit; an error
+affine12.batch maps, which equal the scalar maps bit for bit; the
+--consistent-with references go into that pass too, one row per entry
+(a param entry's reference is not used, so it is not checked). An error
 still names the lowest entry that has one, with the scalar map's message.
 Near-singular matrix entries give one IllConditionedWarning per document,
 naming their count and the first entry as "row i". Only a track's matrix
@@ -43,7 +45,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -58,13 +59,10 @@ from .blend import CURVE_KINDS, PoseTrack, interpolate_pose
 from .errors import (
     Affine12Error,
     FileFormatError,
-    IllConditionedWarning,
     NonFiniteInputError,
-    OutOfRangeError,
     SolverNotConvergedError,
 )
-from .linalg3 import AntiSymMat3, Mat3, _new, mat_det
-from .logmap import _nearest_branch, _reference_angle
+from .linalg3 import Mat3, mat_det
 from .meshblend import CompatibleSet, blend_shapes, load_obj, write_obj
 from .param import (
     AffineParam12,
@@ -140,17 +138,6 @@ def _entry_error(exc: Exception, path: str) -> Exception:
     return err
 
 
-def _decode_entry(path: str, field: str, i: int, entry) -> tuple[str, list[float]]:
-    """_entry_values of entry `field[i]`, and a matrix must have det > 0."""
-    kind, values = _entry_values(path, field, i, entry)
-    if kind == "matrix":
-        det = mat_det(HomAffine3.from_rows(values).linear)
-        if det <= 0.0:
-            raise FileFormatError(
-                f"{path}: {field}[{i}]: linear part has non-positive determinant ({det!r})")
-    return kind, values
-
-
 def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
     """A transform document as its matrix mask (N,) and its values (N, 12).
 
@@ -177,7 +164,9 @@ def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
         det = mat_det(Mat3(*values[:, _LINEAR_COLUMNS].T))
     bad = np.flatnonzero(is_matrix & (det <= 0.0))
     if bad.size:
-        _decode_entry(path, "transforms", int(bad[0]), items[bad[0]])   # raises
+        i = int(bad[0])
+        raise FileFormatError(f"{path}: transforms[{i}]: linear part has non-positive "
+                              f"determinant ({float(det[i])!r})")
     if error is not None:
         raise error
     return is_matrix, values
@@ -191,6 +180,10 @@ def load_transforms(path: str) -> list:
 
 
 def load_track(path: str) -> PoseTrack:
+    """A track document as a PoseTrack, each matrix knot pulled back on the
+    branch nearest the knot before it. A knot the library cannot convert
+    raises transform_to_params's error named `{path}: knots[i]`, so a
+    det <= 0 matrix knot raises NotOrientationPreservingError."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("knots"), list):
         raise FileFormatError(f"{path}: expected an object with a 'knots' list")
@@ -207,7 +200,7 @@ def load_track(path: str) -> PoseTrack:
         if not finite:
             raise FileFormatError(f"{path}: knots[{i}].time must be a finite number")
         entry = {k: v for k, v in item.items() if k != "time"}
-        kind, values = _decode_entry(path, "knots", i, entry)
+        kind, values = _entry_values(path, "knots", i, entry)
         if kind == "param":
             knots.append(AffineParam12.from_vector(values))
         else:
@@ -233,41 +226,16 @@ def _pull_back(path: str, is_matrix: np.ndarray, values: np.ndarray, refs=None) 
     lowest entry that has one, named after the entry.
     """
     block = values.reshape(-1, 3, 4)
-    # a param row goes through as the identity, and its result is dropped
+    # a param row goes through as the identity, on a zero reference that is
+    # never out of range, and its result is dropped
     linear = np.where(is_matrix[:, None, None], block[:, :, :3], np.eye(3))
+    if refs is not None:
+        refs = np.where(is_matrix[:, None], refs, 0.0)
     try:
-        params, failed = transforms_to_params(linear, block[:, :, 3]), None
+        params = transforms_to_params(linear, block[:, :, 3], refs)
     except _DOMAIN_ERRORS as exc:
-        params, failed = None, exc
-    if refs is not None:
-        rows = np.flatnonzero(is_matrix[:len(values) if failed is None else failed.row]).tolist()
-        shifted = []
-        for i, ref in zip(rows, refs[rows, 3:6].tolist()):
-            ref = _new(AntiSymMat3, ref)
-            try:
-                angle = _reference_angle(ref)
-            except OutOfRangeError as exc:
-                _name_entry(exc, path, "transforms", i)
-                raise
-            if failed is None:
-                principal = _new(AntiSymMat3, params[i, 3:6].tolist())
-                shifted.append(_nearest_branch(principal, ref, angle))
-        if shifted:
-            params[rows, 3:6] = shifted
-    if failed is None:
-        return np.where(is_matrix[:, None], params, values)
-    if refs is not None:
-        # the scalar map on the failed row raises whichever of its checks comes first
-        f = failed.row
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            try:
-                transform_to_params(HomAffine3.from_rows(values[f].tolist()),
-                                    ref=AffineParam12.from_vector(refs[f].tolist()))
-            except _DOMAIN_ERRORS as exc:
-                _name_entry(exc, path, "transforms", f)
-                raise
-    raise _entry_error(failed, path) from None
+        raise _entry_error(exc, path) from None
+    return np.where(is_matrix[:, None], params, values)
 
 
 @contextlib.contextmanager
@@ -361,7 +329,8 @@ def _cmd_interp(args) -> int:
     out = []
     try:
         for i in range(args.samples):
-            t = t0 + (t1 - t0) * i / (args.samples - 1)
+            # rounding may carry the last sample one ulp past the track's end
+            t = min(t0 + (t1 - t0) * i / (args.samples - 1), t1)
             out.append(interpolate_pose(track, t, curve=args.curve).to_rows())
     except _DOMAIN_ERRORS as exc:
         exc.args = (f"{args.track}: sample {i} (t = {t!r}): {exc}",)

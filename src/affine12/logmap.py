@@ -37,6 +37,8 @@ from .linalg3 import (
 _ROTATION_TOL = 1e-6
 _TWO_PI = 2.0 * math.pi
 _MAX_REF_ANGLE = 1e7
+# principal angle below which a branch shift takes the reference's axis
+_AXIS_FLOOR = 1e-12
 
 
 def log_quad_coeff(x: float) -> float:
@@ -195,25 +197,14 @@ def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
     exactly pi). A half-turn keeps its own axis, so every branch reproduces R.
     A reference angle beyond _MAX_REF_ANGLE (1e7 rad, where 2 pi n would cost
     the 1e-8 round trip), NaN or inf raises OutOfRangeError, before R is
-    checked.
+    checked. affine12.batch holds the array twin of this rule.
     """
-    ref_angle = _reference_angle(ref)
-    return _nearest_branch(log_so3(r), ref, ref_angle)
-
-
-def _reference_angle(ref: AntiSymMat3) -> float:
-    """The angle of a reference generator, checked against _MAX_REF_ANGLE."""
     ref_angle = antisym_angle(ref)
     if not ref_angle <= _MAX_REF_ANGLE:
         raise OutOfRangeError(f"reference angle {ref_angle!r} rad exceeds {_MAX_REF_ANGLE:g}")
-    return ref_angle
-
-
-def _nearest_branch(principal: AntiSymMat3, ref: AntiSymMat3, ref_angle: float) -> AntiSymMat3:
-    """The branch shift of consistent_log_so3: the log of exp(principal)
-    nearest ref, given the checked reference angle."""
+    principal = log_so3(r)
     theta = antisym_angle(principal)
-    if theta > 1e-12:
+    if theta > _AXIS_FLOOR:
         inv = 1.0 / theta
         k12, k13, k23 = principal.m12 * inv, principal.m13 * inv, principal.m23 * inv
     elif ref_angle > 0.0:

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine12.batch import params_to_transforms, transforms_to_params
 from affine12.errors import (
@@ -17,7 +19,15 @@ from affine12.errors import (
     OutOfRangeError,
 )
 from affine12.expmap import exp_so3
-from affine12.linalg3 import Mat3, Vec3, gram, mat_mul, sym_eigenvalues
+from affine12.linalg3 import (
+    MAT3_IDENTITY,
+    Mat3,
+    Vec3,
+    antisym_angle,
+    gram,
+    mat_mul,
+    sym_eigenvalues,
+)
 from affine12.param import (
     _NEWTON_SKIP,
     AffineParam12,
@@ -58,23 +68,38 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def _check_inverse(mats):
+def _ref_rows(logs, rng=None) -> np.ndarray:
+    """Reference rows (N, 12) with the given rotation logs and random
+    translation and stretch columns, which the maps never read."""
+    rng = np.random.default_rng(len(logs)) if rng is None else rng
+    refs = rng.uniform(-9.0, 9.0, (len(logs), 12))
+    refs[:, 3:6] = logs
+    return refs
+
+
+def _check_inverse(mats, ref_logs=None):
     """The batch inverse map equals the scalar one bit for bit on every row,
-    or raises the error of the lowest row that has one."""
+    or raises the error of the lowest row that has one; with ref_logs, on
+    the branch nearest each row's reference rotation log."""
     lin = np.array(mats, dtype=float).reshape(-1, 3, 3)
     rng = np.random.default_rng(len(mats))
     tr = rng.uniform(-2.0, 2.0, (len(mats), 3))
+    refs = None if ref_logs is None else _ref_rows(ref_logs, rng)
+    scalar_refs = ([None] * len(mats) if refs is None
+                   else [AffineParam12.from_vector(r) for r in refs.tolist()])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        want = [_outcome(lambda m=m, t=t: transform_to_params(HomAffine3(Mat3(*m), Vec3(*t))))
-                for m, t in zip(lin.reshape(-1, 9).tolist(), tr.tolist())]
+        want = [_outcome(lambda m=m, t=t, r=r: transform_to_params(HomAffine3(Mat3(*m), Vec3(*t)),
+                                                                   ref=r))
+                for m, t, r in zip(lin.reshape(-1, 9).tolist(), tr.tolist(), scalar_refs)]
         errors = [(i, w) for i, w in enumerate(want) if isinstance(w, Exception)]
         if errors:
-            _raises_as(errors[0][1], errors[0][0], lambda: transforms_to_params(lin, tr))
+            _raises_as(errors[0][1], errors[0][0], lambda: transforms_to_params(lin, tr, refs))
             return
-        got = transforms_to_params(lin, tr)
+        got = transforms_to_params(lin, tr, refs)
     assert got.shape == (len(mats), 12)
     assert _bits(got) == _bits([w.to_vector() for w in want])
+    return got
 
 
 def _check_forward(params):
@@ -269,8 +294,10 @@ FORWARD_ERRORS = {
 }
 
 
-def _scalar_inverse(m):
-    return transform_to_params(HomAffine3(Mat3(*np.ravel(m).tolist()), Vec3(0.0, 0.0, 0.0)))
+def _scalar_inverse(m, ref_log=None):
+    ref = None if ref_log is None else AffineParam12.from_vector([0.0] * 3 + [*ref_log] + [0.0] * 6)
+    return transform_to_params(HomAffine3(Mat3(*np.ravel(m).tolist()), Vec3(0.0, 0.0, 0.0)),
+                               ref=ref)
 
 
 def _scalar_forward(p):
@@ -376,3 +403,132 @@ def test_the_benchmark_streams_are_the_scalar_maps_bit_for_bit(seed):
         lin, tr = params_to_transforms(got)
         assert _bits(np.dstack((lin, tr))) == _bits([params_to_transform(p).to_rows()
                                                      for p in want])
+
+
+# -- references: the branch of consistent_log_so3, row by row ------------------
+
+def test_references_follow_the_criterion_4_tracks():
+    # chained 4*pi tracks: each row's reference is the scalar result of the
+    # row before it, so the batch rows wind up to 4*pi as the scalar chain does
+    rng = random.Random(107)
+    for axis, steps in (((1.0 / math.sqrt(3.0),) * 3, 126), (rand_unit_axis(rng), 41)):
+        mats = [axis_angle_rotation(axis, 4.0 * math.pi * k / steps) for k in range(1, steps + 1)]
+        refs, prev = [], AffineParam12.zero()
+        for m in mats:
+            refs.append(prev.rotation)
+            prev = transform_to_params(HomAffine3(m, Vec3(0.0, 0.0, 0.0)), ref=prev)
+        got = _check_inverse(mats, refs)
+        angles = np.linalg.norm(got[:, 3:6], axis=1)
+        assert (np.diff(angles) > 0.0).all() and abs(angles[-1] - 4.0 * math.pi) <= 1e-9
+
+
+def test_references_at_exact_and_near_half_turns():
+    rng = random.Random(108)
+    mats, refs = [], []
+    for _ in range(60):
+        axis = rand_unit_axis(rng)
+        for gap in (0.0, 1e-12, 1e-7, 1e-4):
+            r = axis_angle_rotation(axis, math.pi - gap)
+            for ref_angle in (0.0, 2.5, -2.5, 9.0, -9.0, 30.0):
+                mats.append(r)
+                refs.append(generator_for(axis, ref_angle))
+            mats.append(r)
+            refs.append(generator_for(rand_unit_axis(rng), rng.uniform(0.0, 20.0)))
+    for r in (Mat3(1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0),
+              Mat3(-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0),
+              Mat3(-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0)):
+        for ref_angle in (0.0, 4.0, -4.0, 9.0):
+            mats.append(r)
+            refs.append(generator_for((0.0, 0.0, 1.0), ref_angle))
+    _check_inverse(mats, refs)
+    stretch = Mat3(1.5, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.7)
+    _check_inverse([mat_mul(m, stretch) for m in mats], refs)
+
+
+def test_references_at_gaps_of_exactly_pi_keep_the_principal_log():
+    # z-rotations by t, and references on z of pi + t, or of pi - t on the
+    # other side, each measured exactly pi from t: the tie keeps the
+    # principal log; the next reference angle measured past pi takes a turn
+    mats, refs, ties, beyond = [], [], [], []
+    for t in np.linspace(0.01, 3.1, 120).tolist():
+        r = axis_angle_rotation((0.0, 0.0, 1.0), t)
+        theta = antisym_angle(transform_to_params(HomAffine3(r, Vec3(0.0, 0.0, 0.0))).rotation)
+        for sign in (1.0, -1.0):
+            c = math.pi + sign * theta
+            if sign * c - theta != sign * math.pi:
+                continue
+            past = c
+            while sign * past - theta == sign * math.pi:
+                past = math.nextafter(past, math.inf)
+            for angle, group in ((c, ties), (past, beyond)):
+                mats.append(r)
+                refs.append(generator_for((0.0, 0.0, sign), angle))
+                group.append(len(mats) - 1)
+    assert len(ties) >= 100
+    got = _check_inverse(mats, refs)
+    principal = _check_inverse(mats)
+    assert _bits(got[ties]) == _bits(principal[ties])
+    turns = (got[beyond, 3] - principal[beyond, 3]) / (2.0 * math.pi)
+    assert np.allclose(np.abs(turns), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_identity_takes_the_reference_axis_and_zero_reference_the_principal_log():
+    rng = random.Random(109)
+    axes = [rand_unit_axis(rng) for _ in range(20)]
+    refs = [generator_for(a, angle) for a in axes for angle in (2.0 * math.pi, 7.0, 13.0, 1e-3)]
+    got = _check_inverse([MAT3_IDENTITY] * len(refs), refs)
+    # a whole number of turns on the reference's own axis
+    for row, ref in zip(got[:, 3:6], refs):
+        turns = np.linalg.norm(row) / (2.0 * math.pi)
+        assert abs(turns - round(turns)) <= 1e-15
+        if turns > 0.5:
+            assert np.allclose(row / np.linalg.norm(row), np.array(ref) / antisym_angle(ref),
+                               rtol=0.0, atol=1e-15)
+    mats = [rand_linear(rng) for _ in range(200)]
+    zero = _check_inverse(mats, [(0.0, 0.0, 0.0)] * len(mats))
+    assert _bits(zero) == _bits(_check_inverse(mats))
+
+
+@pytest.mark.filterwarnings("ignore::affine12.errors.IllConditionedWarning")
+@pytest.mark.parametrize("ref_angle", [1e17, math.inf, math.nan, 1.0000001e7])
+def test_reference_out_of_range_raises_the_scalar_error_of_the_row(ref_angle):
+    far = (0.0, 0.0, ref_angle)
+    good, ok = np.eye(3), (0.0, 0.0, 0.0)
+    want = _outcome(lambda: _scalar_inverse(good, far))
+    assert isinstance(want, OutOfRangeError) and str(want).startswith("reference angle ")
+    lin, tr = np.array([good, good, good]), np.zeros((3, 3))
+    _raises_as(want, 1, lambda: transforms_to_params(lin, tr, _ref_rows([ok, far, ok])))
+    # a polar-split error on a lower row comes first
+    tiny = INVERSE_ERRORS["det^2 underflows to a zero Gram eigenvalue"]
+    _raises_as(_outcome(lambda: _scalar_inverse(tiny)), 0,
+               lambda: transforms_to_params(np.array([tiny, good]), np.zeros((2, 3)),
+                                            _ref_rows([ok, far])))
+    # within a row the scalar order holds: the polar split, then the
+    # reference angle, then the rotation check
+    for m in INVERSE_ERRORS.values():
+        _raises_as(_outcome(lambda: _scalar_inverse(m, far)), 1,
+                   lambda: transforms_to_params(np.array([good, m]), np.zeros((2, 3)),
+                                                _ref_rows([ok, far])))
+
+
+def test_reference_shapes():
+    lin, tr = np.zeros((2, 3, 3)), np.zeros((2, 3))
+    for refs in (np.zeros((3, 12)), np.zeros((2, 11)), np.zeros(12), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="refs|references"):
+            transforms_to_params(lin, tr, refs)
+    assert transforms_to_params(np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                                np.zeros((0, 12))).shape == (0, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 0.1 < math.hypot(*v)),
+       angle=st.floats(0.0, math.pi),
+       ref_axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 0.1 < math.hypot(*v)),
+       exponent=st.floats(-300.0, 7.0))
+def test_reference_rule_property(axis, angle, ref_axis, exponent):
+    # log-uniform reference angles up to 1e7, on rotations and on a stretched one
+    n, rn = math.hypot(*axis), math.hypot(*ref_axis)
+    r = axis_angle_rotation([v / n for v in axis], angle)
+    ref = generator_for([v / rn for v in ref_axis], 10.0 ** exponent)
+    stretched = mat_mul(r, Mat3(2.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.5))
+    _check_inverse([r, stretched, MAT3_IDENTITY], [ref, ref, ref])

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from affine12.cli import main
-from affine12.errors import IllConditionedWarning, NotARotationError
+from affine12.cli import load_track, main
+from affine12.errors import IllConditionedWarning, NotARotationError, NotOrientationPreservingError
 from affine12.linalg3 import MAT3_IDENTITY, Mat3, Vec3, gram, mat_mul, sym_eigenvalues
 from affine12.meshblend import TriMesh, load_obj, save_obj
 from affine12.param import (
@@ -316,6 +316,33 @@ class TestInterpCommand:
         assert done.returncode == 0, done.stderr
         last = read_doc(out)["transforms"][2]["matrix"]
         assert all(abs(a - b) <= 1e-15 for a, b in zip(last, half_turn_z))
+
+    def test_non_positive_determinant_knot_names_the_knot(self, tmp_path, capsys):
+        # the inverse map's own check, before any reference is used
+        track = tmp_path / "track.json"
+        flipped = list(IDENTITY_ROWS)
+        flipped[0] = -1.0
+        knots = [{"time": 0.0, "matrix": IDENTITY_ROWS}, {"time": 1.0, "matrix": flipped}]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {track}: knots[1]: linear part has non-positive determinant (-1.0)\n")
+        with pytest.raises(NotOrientationPreservingError):
+            load_track(str(track))
+
+    def test_last_sample_stays_on_the_track(self, tmp_path):
+        # t0 + (t1 - t0) * 192 / 192 rounds one ulp past t1 here
+        t0, t1 = -5.18500663983996, 10.61254596875112
+        assert t0 + (t1 - t0) * 192 / 192 > t1
+        track = tmp_path / "track.json"
+        out = tmp_path / "out.json"
+        moved = list(IDENTITY_ROWS)
+        moved[3] = 1.0
+        track.write_text(json.dumps({"knots": [{"time": t0, "matrix": IDENTITY_ROWS},
+                                               {"time": t1, "matrix": moved}]}))
+        assert main(["interp", str(track), "--samples", "193", "-o", str(out)]) == 0
+        samples = read_doc(out)["transforms"]
+        assert len(samples) == 193 and samples[-1]["matrix"] == moved
 
     def test_boolean_time_rejected(self, tmp_path, capsys):
         track = tmp_path / "track.json"
@@ -729,6 +756,25 @@ class TestBatchConversion:
             assert main(["param", str(src), "--consistent-with", str(refs)]) == 2
         assert capsys.readouterr().err == (
             f"error: {src}: transforms[1]: smallest eigenvalue 0.0 is not positive\n")
+
+    def test_param_entry_reference_is_not_checked(self, tmp_path, capsys):
+        # a param entry keeps its own branch, so its reference is never used,
+        # even one out of range; a matrix entry's reference is
+        src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        entries = [{"param": [0.1] * 12}, {"matrix": rotation_rows((0, 0, 1), 2.0)}]
+        ref_entries = [{"param": [0, 0, 0, 1e17, 0, 0, 0, 0, 0, 0, 0, 0]},
+                       {"param": [0, 0, 0, 0, 0, -6.0, 0, 0, 0, 0, 0, 0]}]
+        write_transforms(src, entries)
+        write_transforms(refs, ref_entries)
+        assert main(["param", str(src), "--consistent-with", str(refs)]) == 0
+        assert capsys.readouterr().out == _json_text(
+            {"transforms": [{"param": list(p.to_vector())}
+                            for p in _scalar_params(entries, ref_entries)]})
+        write_transforms(src, entries[::-1])
+        assert main(["param", str(src), "--consistent-with", str(refs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[0]: reference angle 1e+17 rad exceeds 1e+07\n")
 
     def test_near_singular_entries_warn_once(self, tmp_path):
         # the batch warns once per call, naming the count and the first row;

@@ -5,9 +5,16 @@
 For seeds 5 and 23 it runs one cycle of each `perfbench.workloads` class
 (convert, animate, meshblend, cli_batch), round-trips the envelope inputs
 of the probe, and sends each of them through `affine12.batch` as a one-row
-batch, inverse map then forward map. Last, the convert cycle's 10 000
+batch, inverse map then forward map. Then the convert cycle's 10 000
 transforms go through both batch maps as one batch (`batch_cycle`, whose
-lines have the labels of the convert section's). The first line is the
+lines have the labels of the convert section's). Last, the same
+transforms get seeded branch references (multi-turn, log-uniform up to
+1e7 rad, gaps of exactly +pi and -pi, zero, and every thousandth one out of
+range: 1e17, inf, NaN or just above 1e7); their parameters go through
+the scalar `transform_to_params(ref=)` (`convert_refs`) and through the
+batch inverse map (`batch_refs`), called once over the cycle and once
+more past each row that raises. The two sections' lines after the
+section name must be equal. The first line is the
 `affine12.__file__` in use (PYTHONPATH decides it; without one, the
 checkout's `src`). Then each output is one line: its float values as
 `float.hex`, the SHA-256 of a CLI document followed by one line per
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -43,7 +51,12 @@ for _var in THREAD_VARS:
 import numpy as np  # noqa: E402
 
 import affine12  # noqa: E402
-from affine12 import HomAffine3, params_to_transform, transform_to_params  # noqa: E402
+from affine12 import (  # noqa: E402
+    AffineParam12,
+    HomAffine3,
+    params_to_transform,
+    transform_to_params,
+)
 from affine12.batch import params_to_transforms, transforms_to_params  # noqa: E402
 from perfbench import inputs  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
@@ -150,6 +163,83 @@ def batch_cycle(seed: int):
         yield f"item {k}", _hex(rows)
 
 
+def _tie_reference(x, sign: float) -> list[float]:
+    """A rotation log on sign * (the axis of the principal log x) whose gap
+    to x is sign * pi exactly as consistent_log_so3 measures it, if one of
+    the 17 angles nearest pi + sign * t gives it; else that angle's."""
+    theta = math.sqrt(sum(v * v for v in x))
+    if theta <= 1e-12:   # the branch axis is the reference's own
+        return [math.pi, 0.0, 0.0]
+    k = [sign * v / theta for v in x]
+    angles = [math.pi + sign * theta]
+    up = down = angles[0]
+    for _ in range(8):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        angles += [up, down]
+    for c in angles:
+        ref = [c * v for v in k]
+        if sign * math.sqrt(sum(v * v for v in ref)) - theta == sign * math.pi:
+            return ref
+    return [angles[0] * v for v in k]
+
+
+def cycle_refs(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The convert cycle's transforms (N, 3, 4) and seeded references (N, 12)."""
+    rng = np.random.default_rng(seed + 11)
+    a = np.array(Convert(seed).rows, dtype=float).reshape(-1, 3, 4)
+    refs = np.zeros((len(a), 12))
+    refs[:, :3] = rng.uniform(-1.0, 1.0, (len(a), 3))   # never read
+    out_of_range = (1e17, math.inf, math.nan, 1.0000001e7)
+    for k, rows in enumerate(a.reshape(-1, 12).tolist()):
+        x = transform_to_params(HomAffine3.from_rows(rows)).rotation
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        if k % 1000 == 999:
+            ref = axis * out_of_range[k // 1000 % 4]
+        elif k % 5 == 0:   # near the principal axis, up to two turns either way
+            direction = np.array(x) / max(np.linalg.norm(x), 1e-300) + 0.3 * axis
+            ref = direction * (rng.uniform(-4.0 * math.pi, 4.0 * math.pi)
+                               / np.linalg.norm(direction))
+        elif k % 5 == 1:
+            ref = axis * 10.0 ** rng.uniform(-3.0, 7.0)
+        elif k % 5 in (2, 3):
+            ref = _tie_reference(x, 1.0 if k % 5 == 2 else -1.0)
+        else:
+            ref = (0.0, 0.0, 0.0)
+        refs[k, 3:6] = ref
+    return a, refs
+
+
+def convert_refs(seed: int):
+    """The convert cycle on its seeded references, transform by transform."""
+    a, refs = cycle_refs(seed)
+    for k, (rows, ref) in enumerate(zip(a.reshape(-1, 12).tolist(), refs.tolist())):
+        try:
+            p = transform_to_params(HomAffine3.from_rows(rows), ref=AffineParam12.from_vector(ref))
+            yield f"item {k}", _hex(p.to_vector())
+        except Exception as exc:  # an output like any other
+            yield f"item {k}", _error(exc)
+
+
+def batch_refs(seed: int):
+    """The convert cycle on its seeded references through the batch inverse map."""
+    a, refs = cycle_refs(seed)
+    lo = 0
+    while lo < len(a):
+        try:
+            params, failed = transforms_to_params(a[lo:, :, :3], a[lo:, :, 3], refs[lo:]), None
+        except Exception as exc:  # the rows before it go through once more
+            failed, hi = exc, lo + exc.row
+            params = transforms_to_params(a[lo:hi, :, :3], a[lo:hi, :, 3], refs[lo:hi])
+        for k, p in enumerate(params, start=lo):
+            yield f"item {k}", _hex(p)
+        if failed is None:
+            return
+        message = str(failed).removeprefix(f"row {failed.row}: ")
+        yield f"item {hi}", f"{type(failed).__name__}: {message}"
+        lo = hi + 1
+
+
 def main() -> int:
     warnings.simplefilter("ignore")   # near-singular inputs warn on purpose
     print(affine12.__file__)
@@ -159,7 +249,9 @@ def main() -> int:
                                   ("meshblend", meshblend(seed)),
                                   ("cli_batch", cli_batch(seed, workdir)),
                                   ("envelope", envelope(seed)), ("batch", batch(seed)),
-                                  ("batch_cycle", batch_cycle(seed))):
+                                  ("batch_cycle", batch_cycle(seed)),
+                                  ("convert_refs", convert_refs(seed)),
+                                  ("batch_refs", batch_refs(seed))):
                 for label, line in outputs:
                     print(f"{name} seed {seed} {label}: {line}")
     return 0
