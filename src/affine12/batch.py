@@ -40,6 +40,7 @@ however few its rows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from collections import namedtuple
@@ -205,6 +206,10 @@ def _rows_of(x, shape: tuple[int, ...], name: str) -> np.ndarray:
     return x
 
 
+# what a scalar map raises for a row it cannot take
+_ROW_ERRORS = (Affine12Error, ArithmeticError, ValueError)
+
+
 def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
     """out[i] = scalar_row(i) for each masked row i, lowest first; an error
     gets "row i: " in front, i in `row` and the scalar error as __cause__.
@@ -217,10 +222,23 @@ def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
         for i in rows.tolist():
             try:
                 out[i] = scalar_row(i)
-            except (Affine12Error, ArithmeticError, ValueError) as exc:
+            except _ROW_ERRORS as exc:
                 err = type(exc)(f"row {i}: {exc}")
                 err.row = i
                 raise err from exc
+
+
+@contextlib.contextmanager
+def _named_rows(name):
+    """Within the block, a batch map's error on row i is re-raised as the
+    scalar map's error behind it (its __cause__), "{name(i)}: " in front
+    of its message where the batch error has "row i: "."""
+    try:
+        yield
+    except _ROW_ERRORS as exc:
+        err = exc.__cause__
+        err.args = (f"{name(exc.row)}: {err}",)
+        raise err from None
 
 
 def _sort3(l1, l2, l3):

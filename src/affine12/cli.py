@@ -34,7 +34,9 @@ convert/unconvert cycle is bit-faithful. Every result is checked finite
 before the output is opened: a failed command creates or truncates no file.
 
 Exit codes: 0 success, 1 usage, 2 domain error (bad file, non-positive
-determinant, degenerate triangle, ...), 3 solver failure.
+determinant, degenerate triangle, ...), 3 solver failure. Exit 2 also
+covers a file that cannot be opened (read or written) or is not UTF-8
+text; the message names it ("error: {path}: ...").
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import sys
 
 import numpy as np
 
-from .batch import params_to_transforms, transforms_to_params
+from .batch import _named_rows, params_to_transforms, transforms_to_params
 from .bench import (
     DEFAULT_SEED,
     roundtrip_error_stats,
@@ -92,10 +94,10 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 _NUMBER_TYPES = {int, float}   # exact types: JSON true/false load as bool
@@ -124,18 +126,6 @@ def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float
 
 # domain errors: what the library raises for an input it cannot take (exit 2)
 _DOMAIN_ERRORS = (Affine12Error, OverflowError, ValueError)
-
-
-def _name_entry(exc: Exception, path: str, field: str, i: int) -> None:
-    """Prefix the message of exc, in place, with the entry `{path}: field[i]`."""
-    exc.args = (f"{path}: {field}[{i}]: {exc}",)
-
-
-def _entry_error(exc: Exception, path: str) -> Exception:
-    """The scalar map's error behind a batch map's error on row i, named `{path}: transforms[i]`."""
-    err = exc.__cause__
-    _name_entry(err, path, "transforms", exc.row)
-    return err
 
 
 def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +200,7 @@ def load_track(path: str) -> PoseTrack:
                 knots.append(transform_to_params(HomAffine3.from_rows(values),
                                                  ref=knots[-1] if knots else None))
             except _DOMAIN_ERRORS as exc:
-                _name_entry(exc, path, "knots", i)
+                exc.args = (f"{path}: knots[{i}]: {exc}",)
                 raise
         times.append(float(t))
     try:
@@ -231,10 +221,8 @@ def _pull_back(path: str, is_matrix: np.ndarray, values: np.ndarray, refs=None) 
     linear = np.where(is_matrix[:, None, None], block[:, :, :3], np.eye(3))
     if refs is not None:
         refs = np.where(is_matrix[:, None], refs, 0.0)
-    try:
+    with _named_rows(lambda i: f"{path}: transforms[{i}]"):
         params = transforms_to_params(linear, block[:, :, 3], refs)
-    except _DOMAIN_ERRORS as exc:
-        raise _entry_error(exc, path) from None
     return np.where(is_matrix[:, None], params, values)
 
 
@@ -295,10 +283,8 @@ def _cmd_param(args) -> int:
 def _cmd_unparam(args) -> int:
     is_matrix, values = load_array(args.input)
     # a matrix row goes through as zero parameters, and its result is dropped
-    try:
+    with _named_rows(lambda i: f"{args.input}: transforms[{i}]"):
         linear, translation = params_to_transforms(np.where(is_matrix[:, None], 0.0, values))
-    except _DOMAIN_ERRORS as exc:
-        raise _entry_error(exc, args.input) from None
     rows = np.concatenate((linear, translation[:, :, None]), axis=2).reshape(-1, 12)
     _write_transforms("matrix", np.where(is_matrix[:, None], values, rows), args.output)
     return 0
@@ -308,7 +294,7 @@ def _cmd_blend(args) -> int:
     is_matrix, values = load_array(args.input)
     if len(args.weights) != len(values):
         raise FileFormatError(
-            f"{len(values)} transforms but {len(args.weights)} weights")
+            f"{args.input}: {len(values)} transforms but {len(args.weights)} weights")
     refs = _load_refs(args.consistent_with, len(values))
     params = _pull_back(args.input, is_matrix, values, refs)
     try:
@@ -344,11 +330,7 @@ def _cmd_meshblend(args) -> int:
     targets = [load_obj(p) for p in args.targets]
     if len(args.weights) != len(targets):
         raise FileFormatError(f"{len(targets)} target meshes but {len(args.weights)} weights")
-    try:
-        cset = CompatibleSet(rest, targets)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from None
-    result = blend_shapes(cset, args.weights)
+    result = blend_shapes(CompatibleSet(rest, targets), args.weights)
     with _output(args.output) as fh:
         write_obj(fh, result)
     return 0
@@ -455,6 +437,10 @@ def main(argv=None) -> int:
         return 3
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

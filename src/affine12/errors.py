@@ -56,4 +56,6 @@ class IllConditionedWarning(UserWarning):
 
 
 class OrientationFlipWarning(UserWarning):
-    """A face transform has non-positive determinant."""
+    """A face transform has non-positive determinant: rounding flipped a
+    thin face, whose index-order normals preserve orientation in exact
+    arithmetic."""

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import _NUMPY, _params_to_transforms, _transforms_to_params
+from .batch import _NUMPY, _named_rows, _params_to_transforms, _transforms_to_params
 from .errors import (
     DegenerateTriangleError,
     FileFormatError,
@@ -83,44 +83,33 @@ class CompatibleSet:
                 raise ValueError(f"target {k}: face connectivity differs from the rest mesh")
 
 
-def face_frame(p0: Vec3, p1: Vec3, p2: Vec3, normal: Vec3 | None = None) -> Mat3:
-    """Columns [p1-p0, p2-p0, unit normal].
-
-    By default the normal follows the index order (counterclockwise); a
-    caller-supplied normal (e.g. authored shading normals) is normalised
-    and used as-is.
-    """
+def face_frame(p0: Vec3, p1: Vec3, p2: Vec3) -> Mat3:
+    """Columns [p1-p0, p2-p0, unit normal], the normal following the index
+    order (counterclockwise)."""
     e1 = vec_sub(p1, p0)
     e2 = vec_sub(p2, p0)
     n = vec_cross(e1, e2)
     ln = vec_norm(n)
     if 0.5 * ln <= _MIN_AREA:
         raise DegenerateTriangleError(f"triangle area {0.5 * ln:.3e} below {_MIN_AREA}")
-    if normal is not None:
-        ln = vec_norm(normal)
-        if ln <= _MIN_AREA:
-            raise DegenerateTriangleError(f"supplied normal has length {ln:.3e}")
-        n = normal
     n = vec_scale(n, 1.0 / ln)
     return Mat3(e1.x, e2.x, n.x,
                 e1.y, e2.y, n.y,
                 e1.z, e2.z, n.z)
 
 
-def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3],
-                    rest_normal: Vec3 | None = None,
-                    target_normal: Vec3 | None = None) -> HomAffine3:
+def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3]) -> HomAffine3:
     """The unique affine map sending one triangle-with-normal onto another.
 
     The linear part carries the rest edge frame and unit normal onto the
-    target's; the translation pins the first vertex. Normals default to the
-    index-order orientation, in which case the map always preserves
-    orientation; a supplied normal pair that disagrees with the winding
-    trips an OrientationFlipWarning (downstream parameter extraction would
-    reject the transform).
+    target's; the translation pins the first vertex. Both normals follow
+    the index order, so the determinant is positive in exact arithmetic;
+    a thin triangle whose rounding flips it to det <= 0 trips an
+    OrientationFlipWarning (downstream parameter extraction would reject
+    the transform).
     """
-    v0 = face_frame(*rest_tri, normal=rest_normal)
-    vi = face_frame(*target_tri, normal=target_normal)
+    v0 = face_frame(*rest_tri)
+    vi = face_frame(*target_tri)
     linear = mat_mul(vi, mat_inverse(v0))
     det = mat_det(linear)
     if det <= 0.0:
@@ -154,7 +143,10 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     bit for bit, and by any other factor up to roundoff. Raises
     NonFiniteInputError for a NaN or infinite vertex or weight, and
     DegenerateTriangleError for a face area of at most 1e-12 extent^2;
-    both name the mesh (rest or target k) and the index.
+    both name the mesh (rest or target k) and the index. A face map that
+    transform_to_params cannot pull back raises its error named "target k
+    face j: ", and a blend that params_to_transform cannot map forward
+    raises its error named "face j: ".
     """
     if len(weights) != len(cset.targets):
         raise ValueError(f"{len(cset.targets)} targets but {len(weights)} weights")
@@ -176,10 +168,14 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     linear = _face_frames(targets, faces, names, unit) @ frames_inv
     p0 = rest[faces[:, 0]]
     translation = targets[:, faces[:, 0]] - (linear @ p0[:, :, None])[..., 0]
-    params = _transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3), _NUMPY)
+    with _named_rows(lambda i: f"target {i // nf} face {i % nf}"):
+        params = _transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3),
+                                       _NUMPY)
     blended = np.tensordot(w, params.reshape(len(w), nf, 12), axes=1)
+    with _named_rows(lambda j: f"face {j}"):
+        maps = _params_to_transforms(blended, _NUMPY)
 
-    coef, rhs = _face_residuals(rest, faces, frames_inv, *_params_to_transforms(blended, _NUMPY))
+    coef, rhs = _face_residuals(rest, faces, frames_inv, *maps)
     solved = _solve_vertices(coef, rhs, faces, rest) * unit
     return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
 
@@ -356,47 +352,52 @@ def load_obj(path: str) -> TriMesh:
 
     Face fields may carry `v/vt/vn` slashes (only the vertex index is
     kept). Unknown record types are skipped; malformed records raise
-    FileFormatError with the offending line.
+    FileFormatError with the offending line, and a file that is not UTF-8
+    text one naming the file.
     """
     vertices: list[Vec3] = []
     faces: list[tuple[int, int, int]] = []
     face_lines: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                if len(parts) not in (4, 5):
-                    raise FileFormatError(
-                        f"{path}:{ln}: vertex record needs 3 coordinates, got {len(parts) - 1}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            if len(parts) not in (4, 5):
+                raise FileFormatError(
+                    f"{path}:{ln}: vertex record needs 3 coordinates, got {len(parts) - 1}")
+            try:
+                coords = [float(s) for s in parts[1:4]]
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{ln}: bad vertex coordinate: {exc}") from None
+            if not all(math.isfinite(c) for c in coords):
+                raise FileFormatError(f"{path}:{ln}: vertex coordinate is not finite")
+            vertices.append(Vec3(*coords))
+        elif parts[0] == "f":
+            if len(parts) != 4:
+                raise FileFormatError(
+                    f"{path}:{ln}: only triangle faces are supported, got "
+                    f"{len(parts) - 1} indices")
+            idx = []
+            for fieldstr in parts[1:]:
+                head = fieldstr.split("/")[0]
                 try:
-                    coords = [float(s) for s in parts[1:4]]
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{ln}: bad vertex coordinate: {exc}") from None
-                if not all(math.isfinite(c) for c in coords):
-                    raise FileFormatError(f"{path}:{ln}: vertex coordinate is not finite")
-                vertices.append(Vec3(*coords))
-            elif parts[0] == "f":
-                if len(parts) != 4:
+                    i = int(head)
+                except ValueError:
                     raise FileFormatError(
-                        f"{path}:{ln}: only triangle faces are supported, got "
-                        f"{len(parts) - 1} indices")
-                idx = []
-                for fieldstr in parts[1:]:
-                    head = fieldstr.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise FileFormatError(
-                            f"{path}:{ln}: bad face index {fieldstr!r}") from None
-                    if i < 1:
-                        raise FileFormatError(
-                            f"{path}:{ln}: face index {i} must be positive (1-based)")
-                    idx.append(i - 1)
-                faces.append((idx[0], idx[1], idx[2]))
-                face_lines.append(ln)
+                        f"{path}:{ln}: bad face index {fieldstr!r}") from None
+                if i < 1:
+                    raise FileFormatError(
+                        f"{path}:{ln}: face index {i} must be positive (1-based)")
+                idx.append(i - 1)
+            faces.append((idx[0], idx[1], idx[2]))
+            face_lines.append(ln)
     for (f, ln) in zip(faces, face_lines):
         for i in f:
             if i >= len(vertices):

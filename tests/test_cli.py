@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -120,6 +121,38 @@ class TestParamUnparam:
         assert main(["param", str(src)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_missing_input_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "absent.json"
+        assert main(["param", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: No such file or directory\n"
+
+    def test_non_utf8_document_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        src.write_bytes(b"\xff{}")
+        assert main(["param", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n")
+
+    def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        out = tmp_path / "missing" / "out.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}])
+        assert main(["param", str(src), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
+    def test_os_error_without_a_file_is_not_named(self, tmp_path, capsys, monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        src = tmp_path / "in.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}])
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["param", str(src)]) == 2
+        assert capsys.readouterr().err == "error: Broken pipe\n"
+
     def test_nonfinite_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.json"
         src.write_text('{"transforms": [{"matrix": [1,0,0,0,0,1,0,0,0,0,1,NaN]}]}')
@@ -226,6 +259,7 @@ class TestBlendCommand:
         src = tmp_path / "in.json"
         write_transforms(src, [{"matrix": IDENTITY_ROWS}])
         assert main(["blend", str(src), "--weights", "0.5,0.5"]) == 2
+        assert capsys.readouterr().err == f"error: {src}: 1 transforms but 2 weights\n"
 
     def test_consistent_with_picks_reference_branch(self, tmp_path):
         # the full turn's matrix pulled back on the -2*pi branch, halved,
@@ -433,6 +467,18 @@ class TestMeshblendCommand:
         assert main(["meshblend", str(rest_path), str(flat_path), "--weights", "1"]) == 2
         assert "target 0 face 0" in capsys.readouterr().err
 
+    def test_missing_mesh_exits_2_naming_it(self, tmp_path, capsys):
+        from test_meshblend import grid_mesh
+
+        rest_path = tmp_path / "rest.obj"
+        absent = tmp_path / "absent.obj"
+        out = tmp_path / "out.obj"
+        save_obj(str(rest_path), grid_mesh(2, 2))
+        assert main(["meshblend", str(rest_path), str(absent), "--weights", "1",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {absent}: No such file or directory\n"
+        assert not out.exists()
+
     def test_solver_stall_exit_3(self, tmp_path, monkeypatch):
         import affine12.meshblend
         from test_meshblend import grid_mesh, warp_mesh
@@ -477,6 +523,12 @@ class TestBenchCommand:
         done = run_cli("bench", *argv)
         assert done.returncode == 1
         assert done.stderr == f"usage error: bench: {message}\n"
+
+    def test_output_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--kind", "roundtrip", "--n", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+        assert not out.parent.exists()
 
     def test_top_floor_is_sampled(self, capsys):
         assert main(["bench", "--kind", "roundtrip", "--n", "2", "--det-floor", "2.5"]) == 0

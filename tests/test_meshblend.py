@@ -12,7 +12,9 @@ from affine12.errors import (
     Affine12Error,
     DegenerateTriangleError,
     FileFormatError,
+    IllConditionedWarning,
     NonFiniteInputError,
+    NotARotationError,
     OrientationFlipWarning,
     SolverNotConvergedError,
 )
@@ -144,10 +146,15 @@ class TestPerFaceAffine:
 
         assert mat_det(a.linear) > 0.0
 
-    def test_orientation_flip_warns_for_supplied_normal(self):
-        # a target normal fighting the winding makes the map a reflection
-        with pytest.warns(OrientationFlipWarning):
-            per_face_affine(TRI, TRI, target_normal=Vec3(0.0, 0.0, -1.0))
+    def test_rounding_flip_of_a_thin_target_warns(self):
+        # index-order normals preserve orientation in exact arithmetic, but
+        # on a near-collinear target rounding leaves the determinant at 0
+        thin = (Vec3(97.66169574709912, -84.36695766209978, 279.7319923217762),
+                Vec3(-122.69076383540263, -182.73657594143572, 14.189977689620491),
+                Vec3(-12.514534044151667, -133.5517668017677, 146.96098500569846))
+        unit = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
+        with pytest.warns(OrientationFlipWarning, match="determinant 0.000e"):
+            per_face_affine(unit, thin)
 
 
 class TestCompatibleSet:
@@ -303,6 +310,28 @@ class TestBlendShapes:
         for got, want in zip(out.vertices, rest.vertices):
             assert vec_dist(got, want) <= 1e-12
 
+    @staticmethod
+    def _stretched(mesh: TriMesh, sx: float, sy: float) -> TriMesh:
+        return TriMesh([Vec3(v.x * sx, v.y * sy, v.z) for v in mesh.vertices], list(mesh.faces))
+
+    def test_forward_map_error_names_the_face(self):
+        # a weight of 600 on a 4x stretch leaves exp(600 log 4) out of range
+        rest = grid_mesh(4, 4)
+        cset = CompatibleSet(rest, [self._stretched(rest, 4.0, 1.0)])
+        with pytest.raises(OverflowError) as err:
+            blend_shapes(cset, [600.0])
+        assert str(err.value) == (
+            "face 0: exp of leading eigenvalue 831.776616671934 is not representable")
+
+    def test_pull_back_error_names_the_target_and_face(self):
+        # a 1e-8 squash leaves no orthogonal rotation factor in the pull-back
+        rest = grid_mesh(4, 4)
+        cset = CompatibleSet(rest, [self._stretched(rest, 1.1, 1.0),
+                                    self._stretched(rest, 1.0, 1e-8)])
+        with pytest.warns(IllConditionedWarning), pytest.raises(NotARotationError) as err:
+            blend_shapes(cset, [0.5, 0.5])
+        assert str(err.value) == "target 1 face 0: ||R^T R - I||_F = 3.231e-05 exceeds 1e-06"
+
     def test_solver_stall_raises_typed_error(self):
         # a matrix without positive curvature stops every column at once
         b = np.ones((4, 3))
@@ -400,6 +429,14 @@ class TestObjIO:
             load_obj(str(path))
         assert fragment in str(err.value)
         assert "bad.obj:" in str(err.value)
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        path.write_bytes(b"\xff v 0 0 0\n")
+        with pytest.raises(FileFormatError) as err:
+            load_obj(str(path))
+        assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                                  "position 0: invalid start byte")
 
 
 def test_import_loads_no_scipy_module():
