@@ -41,6 +41,7 @@ however few its rows.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import warnings
 from collections import namedtuple
@@ -119,7 +120,8 @@ def transforms_to_params(linear, translation, refs=None) -> np.ndarray:
     scalar map's order holds (a polar-split error before an out-of-range
     reference angle before a failed rotation check). A NaN input row gives
     NaNs, as in the scalar map. IllConditionedWarning is issued once if any
-    determinant lies in (0, 1e-6).
+    determinant lies in (0, 1e-6), naming the count and the first such
+    row ("row i").
     """
     return _transforms_to_params(linear, translation, _LIBM, refs)
 
@@ -154,7 +156,7 @@ def _transforms_to_params(linear, translation, fn: _Transcendentals, refs=None) 
         ill = np.flatnonzero((det > 0.0) & (det < _ILL_CONDITIONED_DET))
         if ill.size:
             warnings.warn(
-                f"{ill.size} determinants close to zero (row {ill[0]}: "
+                f"{ill.size} determinants close to zero ({_row_name.get()(int(ill[0]))}: "
                 f"{float(det[ill[0]]):.3e}); parameters may lose accuracy",
                 IllConditionedWarning,
                 stacklevel=3,
@@ -228,17 +230,25 @@ def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
                 raise err from exc
 
 
+# how a batch's IllConditionedWarning names a row; _named_rows sets it
+_row_name = contextvars.ContextVar("_row_name", default=lambda i: f"row {i}")
+
+
 @contextlib.contextmanager
 def _named_rows(name):
     """Within the block, a batch map's error on row i is re-raised as the
     scalar map's error behind it (its __cause__), "{name(i)}: " in front
-    of its message where the batch error has "row i: "."""
+    of its message where the batch error has "row i: ", and a batch's
+    IllConditionedWarning names its first row name(i) instead of "row i"."""
+    token = _row_name.set(name)
     try:
         yield
     except _ROW_ERRORS as exc:
         err = exc.__cause__
         err.args = (f"{name(exc.row)}: {err}",)
         raise err from None
+    finally:
+        _row_name.reset(token)
 
 
 def _sort3(l1, l2, l3):

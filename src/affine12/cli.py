@@ -24,8 +24,9 @@ affine12.batch maps, which equal the scalar maps bit for bit; the
 (a param entry's reference is not used, so it is not checked). An error
 still names the lowest entry that has one, with the scalar map's message.
 Near-singular matrix entries give one IllConditionedWarning per document,
-naming their count and the first entry as "row i". Only a track's matrix
-knots are converted one by one, each on the branch of the knot before it.
+naming their count and the first entry as errors do ("{path}:
+transforms[i]"). Only a track's matrix knots are converted one by one,
+each on the branch of the knot before it.
 
 Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
 newline, byte for byte, and are written with one write. Numbers are written

@@ -14,9 +14,11 @@ blend_shapes runs each stage over all faces at once, in NumPy: the face
 frames and their inverses, one batched pull-back of every target face map
 (affine12.batch), the weighted sum, one batched forward map, a vectorised
 sparse assembly with the normal tips eliminated face by face, and a
-preconditioned conjugate gradient on the three coordinates together.
-Lengths are measured in the rest mesh's extent, so the result does not
-depend on the caller's absolute scale. face_frame and per_face_affine
+preconditioned conjugate gradient on the three coordinates together,
+warm-started at the linear blend of the vertex positions. That start is
+the answer for zero and one-hot weights, so those queries need no CG
+iteration. Lengths are measured in the rest mesh's extent, so the result
+does not depend on the caller's absolute scale. face_frame and per_face_affine
 are the single-face forms of the same maps.
 """
 
@@ -36,6 +38,7 @@ from .errors import (
     FileFormatError,
     NonFiniteInputError,
     OrientationFlipWarning,
+    SingularMatrixError,
     SolverNotConvergedError,
 )
 from .linalg3 import (
@@ -104,13 +107,18 @@ def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3]) -> Hom
     The linear part carries the rest edge frame and unit normal onto the
     target's; the translation pins the first vertex. Both normals follow
     the index order, so the determinant is positive in exact arithmetic;
-    a thin triangle whose rounding flips it to det <= 0 trips an
+    a thin target whose rounding flips it to det <= 0 trips an
     OrientationFlipWarning (downstream parameter extraction would reject
-    the transform).
+    the transform). A rest triangle whose frame cannot be inverted raises
+    DegenerateTriangleError, as one below the minimum area does.
     """
     v0 = face_frame(*rest_tri)
     vi = face_frame(*target_tri)
-    linear = mat_mul(vi, mat_inverse(v0))
+    try:
+        v0_inv = mat_inverse(v0)
+    except SingularMatrixError as exc:
+        raise DegenerateTriangleError(f"rest triangle frame cannot be inverted: {exc}") from None
+    linear = mat_mul(vi, v0_inv)
     det = mat_det(linear)
     if det <= 0.0:
         warnings.warn(f"face transform determinant {det:.3e} flips orientation",
@@ -134,9 +142,11 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     The normal tips are eliminated face by face, and the normal equations
     left on the vertices are solved by conjugate gradients with a Jacobi
     (diagonal) preconditioner, the three coordinates side by side and
-    warm-started from the rest positions. A coordinate stops once its
-    residual reaches ||r|| <= 1e-10 ||b||; one still above that after 20
-    iterations per unknown raises SolverNotConvergedError.
+    warm-started at the linear vertex blend rest + sum_k w_k (target_k -
+    rest), which meets the tolerance at once for zero and one-hot weights
+    (vertices no face references start at rest). A coordinate stops once
+    its residual reaches ||r|| <= 1e-10 ||b||; one still above that after
+    20 iterations per unknown raises SolverNotConvergedError.
 
     Lengths are divided by the rest mesh's largest coordinate extent (1
     if it is 0), so a set scaled by 2^k blends to the result scaled by 2^k
@@ -146,7 +156,8 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     both name the mesh (rest or target k) and the index. A face map that
     transform_to_params cannot pull back raises its error named "target k
     face j: ", and a blend that params_to_transform cannot map forward
-    raises its error named "face j: ".
+    raises its error named "face j: ". An IllConditionedWarning names the
+    first near-singular face map the same way ("target k face j").
     """
     if len(weights) != len(cset.targets):
         raise ValueError(f"{len(cset.targets)} targets but {len(weights)} weights")
@@ -176,7 +187,8 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
         maps = _params_to_transforms(blended, _NUMPY)
 
     coef, rhs = _face_residuals(rest, faces, frames_inv, *maps)
-    solved = _solve_vertices(coef, rhs, faces, rest) * unit
+    start = rest + np.tensordot(w, targets - rest, axes=1)
+    solved = _solve_vertices(coef, rhs, faces, rest, start) * unit
     return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
 
 
@@ -254,14 +266,15 @@ def _face_residuals(rest: np.ndarray, faces: np.ndarray, frames_inv: np.ndarray,
 
 
 def _solve_vertices(coef: np.ndarray, rhs: np.ndarray, faces: np.ndarray,
-                    rest: np.ndarray) -> np.ndarray:
+                    rest: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Deformed vertex positions minimising the patching energy.
 
     Each normal tip enters only its own face's rows, so its block of the
     normal equations is a scalar and the tips drop out face by face (a
     Schur complement), leaving one sparse system on the vertices that the
-    three coordinates share. Vertices no face references keep their rest
-    position.
+    three coordinates share. The solve is warm-started at start (nv, 3).
+    Vertices no face references keep their rest position, whatever their
+    start.
     """
     nv = len(rest)
     m = np.einsum("fri,frj->fij", coef, coef)
@@ -280,10 +293,12 @@ def _solve_vertices(coef: np.ndarray, rhs: np.ndarray, faces: np.ndarray,
     b = np.zeros((nv, 3))
     np.add.at(b, faces, b_faces)
     b[unused] = rest[unused]
+    x0 = start.copy()
+    x0[unused] = rest[unused]
     on_diag = rows == cols
     diag = np.zeros(nv)
     diag[rows[on_diag]] = vals[on_diag]
-    return _block_pcg(_coordinate_matmul(rows, cols, vals, nv), diag, b, rest)
+    return _block_pcg(_coordinate_matmul(rows, cols, vals, nv), diag, b, x0)
 
 
 def _coordinate_matmul(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
@@ -413,7 +428,6 @@ def save_obj(path: str, mesh: TriMesh) -> None:
 
 
 def write_obj(fh, mesh: TriMesh) -> None:
-    for v in mesh.vertices:
-        fh.write(f"v {v.x!r} {v.y!r} {v.z!r}\n")
-    for f in mesh.faces:
-        fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+    """Write the `v`/`f` records of save_obj to an open text file, in one write."""
+    fh.write("".join(chain((f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices),
+                           (f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces))))

@@ -829,8 +829,8 @@ class TestBatchConversion:
             f"error: {src}: transforms[0]: reference angle 1e+17 rad exceeds 1e+07\n")
 
     def test_near_singular_entries_warn_once(self, tmp_path):
-        # the batch warns once per call, naming the count and the first row;
-        # the output is that of the scalar maps
+        # the batch warns once per call, naming the count and the first entry
+        # as errors do; the output is that of the scalar maps
         src = tmp_path / "in.json"
         entries = [{"matrix": IDENTITY_ROWS},
                    {"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-7, 0]},
@@ -846,5 +846,5 @@ class TestBatchConversion:
         assert done.stdout == want
         first, source, rest = done.stderr.split("\n", 2)
         assert first.endswith(": IllConditionedWarning: 2 determinants close to zero "
-                              "(row 1: 1.000e-07); parameters may lose accuracy")
+                              f"({src}: transforms[1]: 1.000e-07); parameters may lose accuracy")
         assert os.path.join("affine12", "cli.py") in first and rest == ""

@@ -30,6 +30,7 @@ from affine12.meshblend import (
     CompatibleSet,
     TriMesh,
     _block_pcg,
+    _coordinate_matmul,
     _face_residuals,
     _solve_vertices,
     blend_shapes,
@@ -37,6 +38,7 @@ from affine12.meshblend import (
     load_obj,
     per_face_affine,
     save_obj,
+    write_obj,
 )
 from conftest import axis_angle_rotation, mat_dist, rand_unit_axis, sym_to_mat3, vec_dist
 
@@ -156,6 +158,18 @@ class TestPerFaceAffine:
         with pytest.warns(OrientationFlipWarning, match="determinant 0.000e"):
             per_face_affine(unit, thin)
 
+    def test_thin_rest_triangle_is_degenerate(self):
+        # the thin triangle above passes face_frame's area check (2.4e-12),
+        # but as the rest triangle its frame's determinant rounds to 0
+        thin = (Vec3(97.66169574709912, -84.36695766209978, 279.7319923217762),
+                Vec3(-122.69076383540263, -182.73657594143572, 14.189977689620491),
+                Vec3(-12.514534044151667, -133.5517668017677, 146.96098500569846))
+        unit = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
+        with pytest.raises(DegenerateTriangleError) as err:
+            per_face_affine(thin, unit)
+        assert str(err.value) == (
+            "rest triangle frame cannot be inverted: matrix is singular (det = 0.0)")
+
 
 class TestCompatibleSet:
     def test_rejects_vertex_count_mismatch(self):
@@ -173,12 +187,11 @@ class TestCompatibleSet:
 
 class TestBlendShapes:
     def test_zero_weights_reproduce_rest(self):
+        # bit for bit: the solve starts at the rest mesh, already a solution,
+        # and the extent is 1, so the length unit divides and multiplies exactly
         rest = grid_mesh(5, 5)
-        target = warp_mesh(rest)
-        cset = CompatibleSet(rest, [target])
-        out = blend_shapes(cset, [0.0])
-        for got, want in zip(out.vertices, rest.vertices):
-            assert vec_dist(got, want) <= 1e-8
+        out = blend_shapes(CompatibleSet(rest, [warp_mesh(rest), twist_mesh(rest)]), [0.0, 0.0])
+        assert out.vertices == rest.vertices
 
     def test_unit_weight_reproduces_target(self):
         rest = grid_mesh(5, 5)
@@ -235,7 +248,8 @@ class TestBlendShapes:
         coef, rhs = _face_residuals(np.array(rest.vertices), faces, frames_inv,
                                     np.array([b.linear for b in blended]).reshape(nf, 3, 3),
                                     np.array([b.translation for b in blended]))
-        solved = _solve_vertices(coef, rhs, faces, np.array(rest.vertices))
+        solved = _solve_vertices(coef, rhs, faces, np.array(rest.vertices),
+                                 np.array(rest.vertices))
         # each normal tip at its own optimum for the solved vertices
         tip_col = coef[:, :, 3]
         tips = np.einsum("fr,frk->fk", tip_col, rhs - coef[:, :, :3] @ solved[faces]) / (
@@ -324,13 +338,18 @@ class TestBlendShapes:
             "face 0: exp of leading eigenvalue 831.776616671934 is not representable")
 
     def test_pull_back_error_names_the_target_and_face(self):
-        # a 1e-8 squash leaves no orthogonal rotation factor in the pull-back
+        # a 1e-8 squash leaves no orthogonal rotation factor in the pull-back;
+        # the near-singular warning names its first face map the same way
         rest = grid_mesh(4, 4)
         cset = CompatibleSet(rest, [self._stretched(rest, 1.1, 1.0),
                                     self._stretched(rest, 1.0, 1e-8)])
-        with pytest.warns(IllConditionedWarning), pytest.raises(NotARotationError) as err:
+        with pytest.warns(IllConditionedWarning) as record, \
+                pytest.raises(NotARotationError) as err:
             blend_shapes(cset, [0.5, 0.5])
         assert str(err.value) == "target 1 face 0: ||R^T R - I||_F = 3.231e-05 exceeds 1e-06"
+        assert [str(w.message) for w in record] == [
+            "32 determinants close to zero (target 1 face 0: 1.000e-08); "
+            "parameters may lose accuracy"]
 
     def test_solver_stall_raises_typed_error(self):
         # a matrix without positive curvature stops every column at once
@@ -349,6 +368,38 @@ class TestBlendShapes:
         assert out.vertices[-1] == loose
         for got, want in zip(out.vertices[:-1], target.vertices[:-1]):
             assert vec_dist(got, want) <= 1e-8
+
+    def test_unreferenced_vertex_stays_at_rest_in_an_interior_query(self):
+        # the warm start moves every referenced vertex toward the blend,
+        # and the loose one still starts and ends exactly at rest
+        rest = grid_mesh(2, 2)
+        loose = Vec3(7.0, 8.0, 9.0)
+        rest = TriMesh(list(rest.vertices) + [loose], list(rest.faces))
+        cset = CompatibleSet(rest, [warp_mesh(rest), twist_mesh(rest)])
+        assert blend_shapes(cset, [0.5, 0.5]).vertices[-1] == loose
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    def test_coherent_queries_need_no_cg_iteration(self, monkeypatch, weights):
+        # zero and one-hot weights start the solve at the answer, so it
+        # stops after the product of the initial residual
+        import affine12.meshblend
+
+        counts = []
+
+        def spy(*args):
+            matmul = _coordinate_matmul(*args)
+
+            def counted(x):
+                counts[-1] += 1
+                return matmul(x)
+            counts.append(0)
+            return counted
+
+        monkeypatch.setattr(affine12.meshblend, "_coordinate_matmul", spy)
+        rest = warp_mesh(grid_mesh(4, 4))
+        blend_shapes(CompatibleSet(rest, [twist_mesh(rest), warp_mesh(twist_mesh(rest))]),
+                     weights)
+        assert counts == [1]
 
     def test_batch_maps_run_on_numpys_ufuncs(self, monkeypatch):
         # the libm table would add about a third to a query, so blend_shapes
@@ -406,6 +457,23 @@ class TestObjIO:
         assert back.faces == mesh.faces
         for got, want in zip(back.vertices, mesh.vertices):
             assert got == want  # bit-faithful floats
+
+    def test_write_obj_text_is_unchanged_and_written_once(self):
+        # one write of the records the format always had: v with repr
+        # floats, then f with 1-based indices
+        mesh = warp_mesh(grid_mesh(3, 2))
+        writes = []
+
+        class Sink:
+            write = writes.append
+
+        write_obj(Sink(), mesh)
+        want = "".join([f"v {v.x!r} {v.y!r} {v.z!r}\n" for v in mesh.vertices]
+                       + [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in mesh.faces])
+        assert writes == [want]
+        writes.clear()
+        write_obj(Sink(), TriMesh(list(TRI), [(0, 1, 2)]))
+        assert writes == ["v 0.0 0.0 0.0\nv 1.0 0.0 0.0\nv 0.2 1.1 0.0\nf 1 2 3\n"]
 
     def test_accepts_slash_indices_and_comments(self, tmp_path):
         path = tmp_path / "mesh.obj"

@@ -21,6 +21,12 @@ end-to-end metric of BENCHMARK.json, the median, q1, q3 (linear
 interpolation) and runs of each side, `change_frac` (change median /
 parent median - 1) and `within_bound` (the change is worse than the parent
 by at most the metric's bound, as a fraction of the parent median).
+`peak_rss_fit` holds, per side, the least-squares line of `peak_rss_mb`
+against the attempted ops of its runs (`mb_per_1000_ops`, `mb_at_0_ops`;
+null with fewer than two distinct op counts), which is also printed to
+stderr. The harness keeps per-op samples, so RSS grows with the op count
+alone; the fit separates that growth from a change in the program's own
+memory (compare the sides at an equal op count).
 """
 
 from __future__ import annotations
@@ -78,6 +84,16 @@ def _summary(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def _rss_fit(runs: list[dict]) -> dict | None:
+    """Least-squares line of peak_rss_mb against attempted ops over runs."""
+    ops = [r["attempted"] for r in runs]
+    if len(set(ops)) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(
+        ops, [r["metrics"]["peak_rss_mb"]["value"] for r in runs])
+    return {"mb_per_1000_ops": 1000.0 * slope, "mb_at_0_ops": intercept}
+
+
 def _metric(spec: dict, parent: list[float], change: list[float]) -> dict:
     out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
            "parent": _summary(parent), "change": _summary(change)}
@@ -109,6 +125,11 @@ def main(argv=None) -> int:
                 print(f"pair {k + 1}/{args.pairs} {side}: op_best_ms {best}",
                       file=sys.stderr, flush=True)
     best_ms = {s: [r["metrics"]["op_best_ms"]["value"] for r in results[s]] for s in results}
+    rss_fit = {s: _rss_fit(results[s]) for s in results}
+    for side, fit in rss_fit.items():
+        line = ("fewer than two distinct op counts" if fit is None else
+                f"{fit['mb_per_1000_ops']:.3f} MB per 1000 ops, {fit['mb_at_0_ops']:.2f} MB at 0")
+        print(f"{side} peak_rss_mb fit: {line}", file=sys.stderr, flush=True)
     entry = {
         "seed": args.seed, "seconds": seconds, "trace": 0, "pairs": args.pairs,
         "first": first,
@@ -117,6 +138,7 @@ def main(argv=None) -> int:
         "op_best_ms_change_wins": sum(c < p for p, c in zip(best_ms["parent"],
                                                            best_ms["change"])),
         "correct": all(r["correct"] for s in results for r in results[s]),
+        "peak_rss_fit": rss_fit,
         "metrics": {m["name"]: _metric(m, *([r["metrics"][m["name"]]["value"] for r in results[s]]
                                             for s in ("parent", "change")))
                     for m in bench["end_to_end"]},
