@@ -48,7 +48,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import Affine12Error, IllConditionedWarning
+from .errors import _DOMAIN_ERRORS, IllConditionedWarning
 from .expmap import _EXP_ARG_MAX, _rodrigues
 from .linalg3 import (
     _TWO_THIRDS_PI,
@@ -208,10 +208,6 @@ def _rows_of(x, shape: tuple[int, ...], name: str) -> np.ndarray:
     return x
 
 
-# what a scalar map raises for a row it cannot take
-_ROW_ERRORS = (Affine12Error, ArithmeticError, ValueError)
-
-
 def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
     """out[i] = scalar_row(i) for each masked row i, lowest first; an error
     gets "row i: " in front, i in `row` and the scalar error as __cause__.
@@ -224,7 +220,7 @@ def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
         for i in rows.tolist():
             try:
                 out[i] = scalar_row(i)
-            except _ROW_ERRORS as exc:
+            except _DOMAIN_ERRORS as exc:
                 err = type(exc)(f"row {i}: {exc}")
                 err.row = i
                 raise err from exc
@@ -243,7 +239,7 @@ def _named_rows(name):
     token = _row_name.set(name)
     try:
         yield
-    except _ROW_ERRORS as exc:
+    except _DOMAIN_ERRORS as exc:
         err = exc.__cause__
         err.args = (f"{name(exc.row)}: {err}",)
         raise err from None

@@ -35,7 +35,8 @@ convert/unconvert cycle is bit-faithful. Every result is checked finite
 before the output is opened: a failed command creates or truncates no file.
 
 Exit codes: 0 success, 1 usage, 2 domain error (bad file, non-positive
-determinant, degenerate triangle, ...), 3 solver failure. Exit 2 also
+determinant, degenerate triangle, ...: an Affine12Error, ValueError or
+ArithmeticError, as for the batch maps), 3 solver failure. Exit 2 also
 covers a file that cannot be opened (read or written) or is not UTF-8
 text; the message names it ("error: {path}: ...").
 """
@@ -60,7 +61,7 @@ from .bench import (
 )
 from .blend import CURVE_KINDS, PoseTrack, interpolate_pose
 from .errors import (
-    Affine12Error,
+    _DOMAIN_ERRORS,
     FileFormatError,
     NonFiniteInputError,
     SolverNotConvergedError,
@@ -123,10 +124,6 @@ def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float
     if values is None or not all(map(math.isfinite, values)):
         raise FileFormatError(f"{path}: {field}[{i}].{kind} contains a non-finite number")
     return kind, values
-
-
-# domain errors: what the library raises for an input it cannot take (exit 2)
-_DOMAIN_ERRORS = (Affine12Error, OverflowError, ValueError)
 
 
 def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,13 @@ class Affine12Error(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+# what a map raises for an input it cannot take (batch rows, CLI exit 2)
+_DOMAIN_ERRORS = (Affine12Error, ArithmeticError, ValueError)
+
+
 class SingularMatrixError(Affine12Error):
-    """Matrix inversion was requested for a singular matrix."""
+    """Matrix inversion was requested for a singular matrix. No function of
+    this package raises it any more; it stays for callers that catch it."""
 
 
 class NotPositiveDefiniteError(Affine12Error):

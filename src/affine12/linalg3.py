@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import SingularMatrixError
-
 _MIN_NORMAL = 2.2250738585072014e-308
 
 _new = tuple.__new__
@@ -86,22 +84,6 @@ def vec_add(a: Vec3, b: Vec3) -> Vec3:
     return Vec3(a.x + b.x, a.y + b.y, a.z + b.z)
 
 
-def vec_sub(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a.x - b.x, a.y - b.y, a.z - b.z)
-
-
-def vec_scale(a: Vec3, s: float) -> Vec3:
-    return Vec3(a.x * s, a.y * s, a.z * s)
-
-
-def vec_cross(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
-
-
-def vec_norm(a: Vec3) -> float:
-    return math.sqrt(a.x * a.x + a.y * a.y + a.z * a.z)
-
-
 # -- general matrices -------------------------------------------------------
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
@@ -135,26 +117,6 @@ def mat_det(a: Mat3) -> float:
     return (a11 * (a22 * a33 - a23 * a32)
             - a12 * (a21 * a33 - a23 * a31)
             + a13 * (a21 * a32 - a22 * a31))
-
-
-def mat_inverse(a: Mat3) -> Mat3:
-    """Inverse via the adjugate; raises SingularMatrixError for det ~ 0."""
-    det = mat_det(a)
-    if abs(det) < _MIN_NORMAL:
-        raise SingularMatrixError(f"matrix is singular (det = {det!r})")
-    inv = 1.0 / det
-    a11, a12, a13, a21, a22, a23, a31, a32, a33 = a
-    return Mat3(
-        (a22 * a33 - a23 * a32) * inv,
-        (a13 * a32 - a12 * a33) * inv,
-        (a12 * a23 - a13 * a22) * inv,
-        (a23 * a31 - a21 * a33) * inv,
-        (a11 * a33 - a13 * a31) * inv,
-        (a13 * a21 - a11 * a23) * inv,
-        (a21 * a32 - a22 * a31) * inv,
-        (a12 * a31 - a11 * a32) * inv,
-        (a11 * a22 - a12 * a21) * inv,
-    )
 
 
 def gram(a: Mat3) -> SymMat3:

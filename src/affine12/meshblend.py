@@ -11,15 +11,21 @@ column included, so the normal equations are generically full rank and
 the solved mesh is anchored in space.
 
 blend_shapes runs each stage over all faces at once, in NumPy: the face
-frames and their inverses, one batched pull-back of every target face map
-(affine12.batch), the weighted sum, one batched forward map, a vectorised
-sparse assembly with the normal tips eliminated face by face, and a
-preconditioned conjugate gradient on the three coordinates together,
-warm-started at the linear blend of the vertex positions. That start is
-the answer for zero and one-hot weights, so those queries need no CG
-iteration. Lengths are measured in the rest mesh's extent, so the result
-does not depend on the caller's absolute scale. face_frame and per_face_affine
-are the single-face forms of the same maps.
+maps, one batched pull-back of every target face map (affine12.batch),
+the weighted sum, one batched forward map, a vectorised sparse assembly
+with the normal tips eliminated face by face, and a preconditioned
+conjugate gradient on the three coordinates together, warm-started at
+the linear blend of the vertex positions. That start is the answer for
+zero and one-hot weights, so those queries need no CG iteration.
+
+The face map is written once, on corner coordinates: the same lines run
+on floats in the single-face forms face_frame and per_face_affine and on
+(..., nf) arrays in blend_shapes. The frame [e1, e2, u] (edges, u = n/|n|,
+n = e1 x e2) has determinant |n|, so its inverse is read off its own cross
+products. Lengths are taken in the extent of the rest vertices the faces
+use (a set's, or the rest triangle's), so results do not depend on the
+caller's scale, and one area rule holds: area <= 1e-12 extent^2 is a
+DegenerateTriangleError.
 """
 
 from __future__ import annotations
@@ -38,21 +44,9 @@ from .errors import (
     FileFormatError,
     NonFiniteInputError,
     OrientationFlipWarning,
-    SingularMatrixError,
     SolverNotConvergedError,
 )
-from .linalg3 import (
-    Mat3,
-    Vec3,
-    mat_det,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
-    vec_cross,
-    vec_norm,
-    vec_scale,
-    vec_sub,
-)
+from .linalg3 import Mat3, Vec3, _new, mat_det, mat_mul, mat_vec
 from .param import HomAffine3
 
 _MIN_AREA = 1e-12
@@ -88,43 +82,98 @@ class CompatibleSet:
 
 def face_frame(p0: Vec3, p1: Vec3, p2: Vec3) -> Mat3:
     """Columns [p1-p0, p2-p0, unit normal], the normal following the index
-    order (counterclockwise)."""
-    e1 = vec_sub(p1, p0)
-    e2 = vec_sub(p2, p0)
-    n = vec_cross(e1, e2)
-    ln = vec_norm(n)
-    if 0.5 * ln <= _MIN_AREA:
-        raise DegenerateTriangleError(f"triangle area {0.5 * ln:.3e} below {_MIN_AREA}")
-    n = vec_scale(n, 1.0 / ln)
-    return Mat3(e1.x, e2.x, n.x,
-                e1.y, e2.y, n.y,
-                e1.z, e2.z, n.z)
+    order (counterclockwise) and taken in the triangle's extent, under the
+    area rule (see the module)."""
+    unit = _extent((p0, p1, p2))
+    _, _, n, ln = _triangle(*_scaled((p0, p1, p2), unit), math.sqrt)
+    if _degenerate(ln):
+        raise _area_error(ln, unit)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = p0, p1, p2
+    return _frame((x1 - x0, y1 - y0, z1 - z0), (x2 - x0, y2 - y0, z2 - z0), n, ln)
 
 
 def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3]) -> HomAffine3:
     """The unique affine map sending one triangle-with-normal onto another.
 
     The linear part carries the rest edge frame and unit normal onto the
-    target's; the translation pins the first vertex. Both normals follow
-    the index order, so the determinant is positive in exact arithmetic;
-    a thin target whose rounding flips it to det <= 0 trips an
+    target's; the translation pins the first vertex. Both triangles are
+    taken in the rest triangle's extent, so the linear part is bit for bit
+    the one blend_shapes pulls back for the one-face set, under the same
+    area rule (rest first; see the module). Both normals follow the index
+    order, so the determinant is positive in exact arithmetic; a thin
+    target whose rounding flips it to det <= 0 trips an
     OrientationFlipWarning (downstream parameter extraction would reject
-    the transform). A rest triangle whose frame cannot be inverted raises
-    DegenerateTriangleError, as one below the minimum area does.
+    the transform).
     """
-    v0 = face_frame(*rest_tri)
-    vi = face_frame(*target_tri)
-    try:
-        v0_inv = mat_inverse(v0)
-    except SingularMatrixError as exc:
-        raise DegenerateTriangleError(f"rest triangle frame cannot be inverted: {exc}") from None
-    linear = mat_mul(vi, v0_inv)
+    unit = _extent(rest_tri)
+    p, q = _scaled(rest_tri, unit), _scaled(target_tri, unit)
+    rest, target = _triangle(*p, math.sqrt), _triangle(*q, math.sqrt)
+    for ln in (rest[3], target[3]):
+        if _degenerate(ln):
+            raise _area_error(ln, unit)
+    linear, (tx, ty, tz) = _face_map(_frame(*target), _frame_inverse(*rest), p[0], q[0])
     det = mat_det(linear)
     if det <= 0.0:
         warnings.warn(f"face transform determinant {det:.3e} flips orientation",
                       OrientationFlipWarning, stacklevel=2)
-    translation = vec_sub(target_tri[0], mat_vec(linear, rest_tri[0]))
-    return HomAffine3(linear, translation)
+    return HomAffine3(linear, _new(Vec3, (tx * unit, ty * unit, tz * unit)))
+
+
+# -- the face map, once, on corner coordinates: floats in the single-face
+# forms, arrays in blend_shapes (see the module)
+
+def _extent(tri: Sequence[Vec3]) -> float:
+    """The largest coordinate extent of a triangle's corners, 1 if it is 0."""
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = tri
+    return max(max(x0, x1, x2) - min(x0, x1, x2), max(y0, y1, y2) - min(y0, y1, y2),
+               max(z0, z1, z2) - min(z0, z1, z2)) or 1.0
+
+
+def _scaled(tri: Sequence[Vec3], unit: float) -> list[tuple]:
+    return [(x / unit, y / unit, z / unit) for x, y, z in tri]
+
+
+def _triangle(p0, p1, p2, sqrt):
+    """Edges e1 = p1 - p0, e2 = p2 - p0, the normal n = e1 x e2 and |n|."""
+    x0, y0, z0 = p0
+    ax, ay, az = p1[0] - x0, p1[1] - y0, p1[2] - z0
+    bx, by, bz = p2[0] - x0, p2[1] - y0, p2[2] - z0
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    return (ax, ay, az), (bx, by, bz), (nx, ny, nz), sqrt(nx * nx + ny * ny + nz * nz)
+
+
+def _degenerate(ln):
+    """The area rule on |n| in lengths of the extent: area |n|/2 <= 1e-12."""
+    return 0.5 * ln <= _MIN_AREA
+
+
+def _area_error(ln, unit: float, where: str = "") -> DegenerateTriangleError:
+    return DegenerateTriangleError(f"{where}triangle area {0.5 * ln * unit * unit:.3e} "
+                                   f"below {_MIN_AREA * unit * unit:g}")
+
+
+def _frame(e1, e2, n, ln) -> Mat3:
+    """The frame [e1, e2, u], u = n/|n|."""
+    (ax, ay, az), (bx, by, bz), (nx, ny, nz) = e1, e2, n
+    return _new(Mat3, (ax, bx, nx / ln, ay, by, ny / ln, az, bz, nz / ln))
+
+
+def _frame_inverse(e1, e2, n, ln) -> Mat3:
+    """The inverse of [e1, e2, u]: its determinant is u . (e1 x e2) = |n|,
+    so its rows are (e2 x u)/|n|, (u x e1)/|n| and u."""
+    (ax, ay, az), (bx, by, bz) = e1, e2
+    ux, uy, uz = n[0] / ln, n[1] / ln, n[2] / ln
+    return _new(Mat3, ((by * uz - bz * uy) / ln, (bz * ux - bx * uz) / ln, (bx * uy - by * ux) / ln,
+                       (uy * az - uz * ay) / ln, (uz * ax - ux * az) / ln, (ux * ay - uy * ax) / ln,
+                       ux, uy, uz))
+
+
+def _face_map(target_frame: Mat3, rest_inverse: Mat3, p0, q0) -> tuple[Mat3, tuple]:
+    """The map x -> M x + t carrying the rest frame onto the target frame
+    and the rest corner p0 onto the target corner q0."""
+    linear = mat_mul(target_frame, rest_inverse)
+    mx, my, mz = mat_vec(linear, p0)
+    return linear, (q0[0] - mx, q0[1] - my, q0[2] - mz)
 
 
 def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
@@ -148,9 +197,11 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     its residual reaches ||r|| <= 1e-10 ||b||; one still above that after
     20 iterations per unknown raises SolverNotConvergedError.
 
-    Lengths are divided by the rest mesh's largest coordinate extent (1
-    if it is 0), so a set scaled by 2^k blends to the result scaled by 2^k
-    bit for bit, and by any other factor up to roundoff. Raises
+    Lengths are divided by the largest coordinate extent of the rest
+    vertices that some face uses (1 if it is 0), so a set scaled by 2^k
+    blends to the result scaled by 2^k bit for bit, and by any other
+    factor up to roundoff, and a vertex no face uses changes no other
+    vertex. Raises
     NonFiniteInputError for a NaN or infinite vertex or weight, and
     DegenerateTriangleError for a face area of at most 1e-12 extent^2;
     both name the mesh (rest or target k) and the index. A face map that
@@ -171,22 +222,24 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
                        dtype=float).reshape(len(cset.targets), nv, 3)
     faces = _face_array(cset.rest.faces, nv)
     nf = len(faces)
-    unit = (float(np.ptp(rest, axis=0).max()) if nv else 0.0) or 1.0
+    unit = (float(np.ptp(rest[faces].reshape(-1, 3), axis=0).max()) if nf else 0.0) or 1.0
     rest, targets = rest / unit, targets / unit
 
-    frames_inv = _inverse(_face_frames(rest[None], faces, ["rest mesh"], unit)[0])
-    names = [f"target {k}" for k in range(len(targets))]
-    linear = _face_frames(targets, faces, names, unit) @ frames_inv
-    p0 = rest[faces[:, 0]]
-    translation = targets[:, faces[:, 0]] - (linear @ p0[:, :, None])[..., 0]
+    p, q = _corners(rest, faces), _corners(targets, faces)
+    rest_tri, target_tri = _triangle(*p, np.sqrt), _triangle(*q, np.sqrt)
+    _check_areas(rest_tri[3], ["rest mesh"], unit)
+    _check_areas(target_tri[3], [f"target {k}" for k in range(len(targets))], unit)
+    frames_inv = _frame_inverse(*rest_tri)
+    linear, translation = _face_map(_frame(*target_tri), frames_inv, p[0], q[0])
     with _named_rows(lambda i: f"target {i // nf} face {i % nf}"):
-        params = _transforms_to_params(linear.reshape(-1, 3, 3), translation.reshape(-1, 3),
-                                       _NUMPY)
+        params = _transforms_to_params(np.stack(linear, axis=-1).reshape(-1, 3, 3),
+                                       np.stack(translation, axis=-1).reshape(-1, 3), _NUMPY)
     blended = np.tensordot(w, params.reshape(len(w), nf, 12), axes=1)
     with _named_rows(lambda j: f"face {j}"):
         maps = _params_to_transforms(blended, _NUMPY)
 
-    coef, rhs = _face_residuals(rest, faces, frames_inv, *maps)
+    coef, rhs = _face_residuals(rest, faces, np.stack(frames_inv, axis=-1).reshape(nf, 3, 3),
+                                *maps)
     start = rest + np.tensordot(w, targets - rest, axes=1)
     solved = _solve_vertices(coef, rhs, faces, rest, start) * unit
     return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
@@ -210,37 +263,17 @@ def _face_array(faces: list[tuple[int, int, int]], nv: int) -> np.ndarray:
     return f
 
 
-def _face_frames(vertices: np.ndarray, faces: np.ndarray, names: list[str],
-                 unit: float) -> np.ndarray:
-    """Frames [p1-p0, p2-p0, unit normal] of every face of a stack of meshes.
+def _corners(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Corner, coordinate and face (3, 3, ..., nf) of (..., nv, 3) vertices."""
+    return np.ascontiguousarray(np.moveaxis(vertices[..., faces, :], (-2, -1), (0, 1)))
 
-    vertices is (n_meshes, nv, 3), in lengths of unit, and the result
-    (n_meshes, nf, 3, 3); names label the meshes in the
-    DegenerateTriangleError of a face below the minimum area.
-    """
-    p = vertices[:, faces]
-    e1 = p[:, :, 1] - p[:, :, 0]
-    e2 = p[:, :, 2] - p[:, :, 0]
-    n = np.cross(e1, e2)
-    area = 0.5 * np.sqrt(np.einsum("mfi,mfi->mf", n, n))
-    bad = np.flatnonzero(area <= _MIN_AREA)
+
+def _check_areas(ln: np.ndarray, names: list[str], unit: float) -> None:
+    """The area rule on (n_meshes, nf) or (nf,) |n|, naming a face "{names[k]} face j"."""
+    bad = np.flatnonzero(_degenerate(ln))
     if bad.size:
-        k, j = divmod(int(bad[0]), len(faces))
-        raise DegenerateTriangleError(f"{names[k]} face {j}: triangle area "
-                                      f"{area[k, j] * unit**2:.3e} below {_MIN_AREA * unit**2:g}")
-    return np.stack((e1, e2, n / (2.0 * area)[:, :, None]), axis=-1)
-
-
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 3x3 matrices by the closed-form adjugate.
-
-    With columns a, b, c the rows of the inverse are b x c, c x a and
-    a x b over the determinant a . (b x c).
-    """
-    a, b, c = m[..., 0], m[..., 1], m[..., 2]
-    bc = np.cross(b, c)
-    det = np.einsum("...i,...i->...", a, bc)
-    return np.stack((bc, np.cross(c, a), np.cross(a, b)), axis=-2) / det[..., None, None]
+        k, j = divmod(int(bad[0]), ln.shape[-1])
+        raise _area_error(ln.flat[bad[0]], unit, f"{names[k]} face {j}: ")
 
 
 def _face_residuals(rest: np.ndarray, faces: np.ndarray, frames_inv: np.ndarray,

@@ -57,6 +57,19 @@ class TestBlend:
         with pytest.raises(ValueError):
             WeightedTransforms((HomAffine3.identity(),), (1.0, 2.0))
 
+    def test_reference_count_must_match(self):
+        a = HomAffine3.identity()
+        zero = AffineParam12.from_vector([0.0] * 12)
+        with pytest.raises(ValueError) as err:
+            blend(WeightedTransforms((a, a), (0.5, 0.5)), refs=(zero,))
+        assert str(err.value) == "2 transforms but 1 references"
+
+    def test_pose_track_needs_one_time_per_knot(self):
+        zero = AffineParam12.from_vector([0.0] * 12)
+        with pytest.raises(ValueError) as err:
+            PoseTrack((zero, zero, zero), (0.0, 1.0))
+        assert str(err.value) == "3 knots but 2 times"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_rejected_by_index(self, rng, bad):
         a = _rand_affine(rng)

@@ -848,3 +848,90 @@ class TestBatchConversion:
         assert first.endswith(": IllConditionedWarning: 2 determinants close to zero "
                               f"({src}: transforms[1]: 1.000e-07); parameters may lose accuracy")
         assert os.path.join("affine12", "cli.py") in first and rest == ""
+
+
+class TestInputChecks:
+    """Each input check ends in exit 2 (1 for a bad option) with one stderr line."""
+
+    KNOT = {"time": 0.0, "matrix": IDENTITY_ROWS}
+
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({"transforms": [{"matrix": IDENTITY_ROWS, "param": [0] * 12}]}),
+         "transforms[0] must be an object with exactly one of 'matrix'/'param'"),
+        (json.dumps({"transforms": [[1, 2]]}),
+         "transforms[0] must be an object with exactly one of 'matrix'/'param'"),
+        (json.dumps({"transforms": [{"rows": IDENTITY_ROWS}]}),
+         "transforms[0] has unknown field 'rows'"),
+        (json.dumps({"items": []}), "expected an object with a 'transforms' list"),
+        (json.dumps([]), "expected an object with a 'transforms' list"),
+        (json.dumps({"transforms": []}), "'transforms' list is empty"),
+    ])
+    def test_malformed_document(self, tmp_path, capsys, text, message):
+        src = tmp_path / "in.json"
+        src.write_text(text)
+        assert main(["param", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({"frames": []}), "expected an object with a 'knots' list"),
+        (json.dumps({"knots": [KNOT, {"matrix": IDENTITY_ROWS}]}), "knots[1] needs a 'time' field"),
+        ('{"knots": [' + json.dumps(KNOT) + ', {"time": 1' + "0" * 400
+         + ', "matrix": ' + json.dumps(IDENTITY_ROWS) + "}]}",
+         "knots[1].time must be a finite number"),
+    ])
+    def test_malformed_track(self, tmp_path, capsys, text, message):
+        track = tmp_path / "track.json"
+        track.write_text(text)
+        assert main(["interp", str(track), "--samples", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {track}: {message}\n"
+
+    def test_consistent_with_count_mismatch(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}] * 3)
+        write_transforms(refs, [{"param": [0.0] * 12}] * 2)
+        assert main(["param", str(src), "--consistent-with", str(refs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {refs}: 2 references for 3 transforms "
+            "(need a matching count or a single broadcast entry)\n")
+
+    def test_meshblend_target_weight_count_mismatch(self, tmp_path, capsys):
+        from test_meshblend import grid_mesh
+
+        rest = tmp_path / "rest.obj"
+        save_obj(str(rest), grid_mesh(2, 2))
+        assert main(["meshblend", str(rest), str(rest), "--weights", "0.5,0.5"]) == 2
+        assert capsys.readouterr().err == "error: 1 target meshes but 2 weights\n"
+
+    def test_nan_weight_is_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}])
+        assert main(["blend", str(src), "--weights", "nan"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: affine12 blend: argument --weights: bad weight list 'nan'\n")
+
+    def test_infinite_obj_vertex(self, tmp_path, capsys):
+        from test_meshblend import grid_mesh
+
+        bad = tmp_path / "bad.obj"
+        rest = tmp_path / "rest.obj"
+        bad.write_text("v 0 inf 0\n")
+        save_obj(str(rest), grid_mesh(2, 2))
+        assert main(["meshblend", str(rest), str(bad), "--weights", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:1: vertex coordinate is not finite\n"
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                     FloatingPointError("overflow encountered")])
+    def test_every_arithmetic_error_is_a_domain_error(self, tmp_path, capsys, monkeypatch, exc):
+        # the CLI's domain errors are the batch's: ArithmeticError, not only
+        # OverflowError, exits 2
+        import affine12.cli
+
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(affine12.cli, "blend_shapes", broken)
+        rest = tmp_path / "rest.obj"
+        save_obj(str(rest), TriMesh([Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)], [(0, 1, 2)]))
+        assert main(["meshblend", str(rest), str(rest), "--weights", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"

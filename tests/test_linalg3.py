@@ -1,19 +1,15 @@
 import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine12.errors import SingularMatrixError
 from affine12.linalg3 import (
     MAT3_IDENTITY,
     Mat3,
     SymMat3,
     gram,
     mat_det,
-    mat_inverse,
-    mat_mul,
     sym_eigenvalues,
     sym_norm2,
 )
@@ -80,22 +76,6 @@ class TestMatOps:
         for _ in range(50):
             r = axis_angle_rotation(rand_unit_axis(rng), rng.uniform(0, math.pi))
             assert mat_dist(sym_to_full(gram(r)), MAT3_IDENTITY) <= 1e-14
-
-    def test_inverse_diagonal(self):
-        inv = mat_inverse(Mat3(2.0, 0, 0, 0, 4.0, 0, 0, 0, 5.0))
-        assert inv == Mat3(0.5, 0, 0, 0, 0.25, 0, 0, 0, 0.2)
-
-    def test_inverse_singular(self):
-        with pytest.raises(SingularMatrixError):
-            mat_inverse(Mat3(1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 0.0, 1.0, 1.0))
-
-    def test_inverse_roundtrip(self):
-        rng = random.Random(8)
-        for _ in range(100):
-            m = Mat3(*(rng.uniform(-1, 1) for _ in range(9)))
-            if abs(mat_det(m)) < 1e-3:
-                continue
-            assert mat_dist(mat_mul(m, mat_inverse(m)), MAT3_IDENTITY) <= 1e-11
 
     def test_transpose_involution_and_frobenius(self):
         m = Mat3(1, 2, 3, 4, 5, 6, 7, 8, 9)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import random
@@ -20,9 +21,9 @@ from affine12.errors import (
 )
 from affine12.linalg3 import (
     MAT3_IDENTITY,
+    Mat3,
     Vec3,
     gram,
-    mat_inverse,
     mat_vec,
     vec_add,
 )
@@ -40,6 +41,7 @@ from affine12.meshblend import (
     save_obj,
     write_obj,
 )
+from affine12.param import HomAffine3
 from conftest import axis_angle_rotation, mat_dist, rand_unit_axis, sym_to_mat3, vec_dist
 
 TRI = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.2, 1.1, 0.0))
@@ -81,14 +83,26 @@ def twist_mesh(mesh: TriMesh) -> TriMesh:
     return TriMesh(out, list(mesh.faces))
 
 
+def numpy_frame(tri) -> np.ndarray:
+    """The face frame [p1-p0, p2-p0, unit normal] by NumPy, not by the library."""
+    p0, p1, p2 = np.array(tri, dtype=float)
+    n = np.cross(p1 - p0, p2 - p0)
+    return np.column_stack((p1 - p0, p2 - p0, n / np.linalg.norm(n)))
+
+
 def reference_blend(rest: TriMesh, targets, weights) -> np.ndarray:
-    """Blended vertices by scalar face maps and a dense least squares."""
+    """Blended vertices by scalar blends of face maps built from NumPy
+    frames and inverses, and a dense least squares."""
     nv, nf = len(rest.vertices), len(rest.faces)
-    blended = [blend(WeightedTransforms(
-        tuple(per_face_affine(rest.face_points(j), t.face_points(j)) for t in targets),
-        tuple(weights))) for j in range(nf)]
-    frames_inv = [np.linalg.inv(np.array(face_frame(*rest.face_points(j))).reshape(3, 3))
-                  for j in range(nf)]
+    frames_inv = [np.linalg.inv(numpy_frame(rest.face_points(j))) for j in range(nf)]
+
+    def face_map(j, target):
+        m = numpy_frame(target.face_points(j)) @ frames_inv[j]
+        t = np.array(target.vertices[rest.faces[j][0]]) - m @ np.array(rest.face_points(j)[0])
+        return HomAffine3(Mat3(*m.ravel().tolist()), Vec3(*t.tolist()))
+
+    blended = [blend(WeightedTransforms(tuple(face_map(j, t) for t in targets),
+                                        tuple(weights))) for j in range(nf)]
 
     def face_maps(x):
         # one coordinate row of every face map [M | t] of the configuration
@@ -159,16 +173,74 @@ class TestPerFaceAffine:
             per_face_affine(unit, thin)
 
     def test_thin_rest_triangle_is_degenerate(self):
-        # the thin triangle above passes face_frame's area check (2.4e-12),
-        # but as the rest triangle its frame's determinant rounds to 0
+        # the thin triangle above has an area of 2.4e-12 against an extent
+        # of 265.5, far below the area rule's 1e-12 extent^2
         thin = (Vec3(97.66169574709912, -84.36695766209978, 279.7319923217762),
                 Vec3(-122.69076383540263, -182.73657594143572, 14.189977689620491),
                 Vec3(-12.514534044151667, -133.5517668017677, 146.96098500569846))
         unit = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
         with pytest.raises(DegenerateTriangleError) as err:
             per_face_affine(thin, unit)
-        assert str(err.value) == (
-            "rest triangle frame cannot be inverted: matrix is singular (det = 0.0)")
+        assert str(err.value) == "triangle area 2.397e-12 below 7.05126e-08"
+
+    def test_right_triangle_with_legs_of_1e_7_maps(self):
+        # area 5e-15 against 1e-12 extent^2 = 1e-26: the area rule is
+        # relative, so a small face is a face like any other
+        small = (Vec3(0.0, 0.0, 0.0), Vec3(1e-7, 0.0, 0.0), Vec3(0.0, 1e-7, 0.0))
+        assert face_frame(*small) == (1e-7, 0.0, 0.0, 0.0, 1e-7, 0.0, 0.0, 0.0, 1.0)
+        a = per_face_affine(small, tuple(Vec3(2.0 * p.x, p.y, p.z) for p in small))
+        assert a.linear == (2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+        assert a.translation == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 40, 2.0 ** -40, 1e6, 1e-6])
+    def test_one_face_sets_agree_with_blend_shapes(self, monkeypatch, scale):
+        # per_face_affine measures a face in its rest triangle's extent as
+        # blend_shapes measures a one-face set, so both reject the same thin
+        # triangles with the same area, and the linear part of every face
+        # they accept is bit for bit the one blend_shapes pulls back
+        import warnings as _w
+
+        import affine12.meshblend
+        from affine12 import batch
+
+        pulled = []
+
+        def spy(linear, *args):
+            pulled.append(linear[0].ravel().tolist())
+            return batch._transforms_to_params(linear, *args)
+
+        monkeypatch.setattr(affine12.meshblend, "_transforms_to_params", spy)
+        rng = random.Random(21)
+        verdicts = []
+        for k in range(80):
+            # heights log-uniform about the area rule's 2e-12 (extent ~1)
+            r = axis_angle_rotation(rand_unit_axis(rng), rng.uniform(0.0, 3.0))
+            c = Vec3(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            thin = [Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0),
+                    Vec3(rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-13.0, -10.0), 0.0)]
+            thin = tuple(Vec3(*(scale * v for v in vec_add(mat_vec(r, p), c))) for p in thin)
+            good = tuple(Vec3(*(scale * v for v in p)) for p in TRI)
+            rest, target = (thin, good) if k % 2 else (good, thin)
+            name = "rest mesh" if k % 2 else "target 0"
+            cset = CompatibleSet(TriMesh(list(rest), [(0, 1, 2)]),
+                                 [TriMesh(list(target), [(0, 1, 2)])])
+            del pulled[:]
+            with _w.catch_warnings():
+                _w.simplefilter("ignore")
+                try:
+                    linear = per_face_affine(rest, target).linear
+                except DegenerateTriangleError as exc:
+                    with pytest.raises(DegenerateTriangleError) as err:
+                        blend_shapes(cset, [0.5])
+                    assert str(err.value) == f"{name} face 0: {exc}"
+                    verdicts.append("degenerate")
+                    continue
+                # a thin face map may not pull back, once it has been pulled
+                with contextlib.suppress(Affine12Error, ArithmeticError, ValueError):
+                    blend_shapes(cset, [0.5])
+            assert pulled == [list(linear)]
+            verdicts.append("mapped")
+        assert 20 <= verdicts.count("degenerate") <= 60
 
 
 class TestCompatibleSet:
@@ -242,8 +314,8 @@ class TestBlendShapes:
         blended = [blend(WeightedTransforms(
             (per_face_affine(rest.face_points(j), target.face_points(j)),), (0.37,)))
             for j in range(nf)]
-        frames_inv = np.array([mat_inverse(face_frame(*rest.face_points(j)))
-                               for j in range(nf)]).reshape(nf, 3, 3)
+        frames_inv = np.array([np.linalg.inv(np.array(face_frame(*rest.face_points(j)))
+                                             .reshape(3, 3)) for j in range(nf)])
         faces = np.array(rest.faces)
         coef, rhs = _face_residuals(np.array(rest.vertices), faces, frames_inv,
                                     np.array([b.linear for b in blended]).reshape(nf, 3, 3),
@@ -368,6 +440,18 @@ class TestBlendShapes:
         assert out.vertices[-1] == loose
         for got, want in zip(out.vertices[:-1], target.vertices[:-1]):
             assert vec_dist(got, want) <= 1e-8
+
+    def test_loose_vertex_changes_no_referenced_vertex(self):
+        # the length unit is the extent of the vertices the faces use, so a
+        # vertex no face uses leaves the others bit for bit where they are
+        # without it
+        rest = grid_mesh(2, 2)
+        want = blend_shapes(CompatibleSet(rest, [warp_mesh(rest), twist_mesh(rest)]),
+                            [0.5, 0.5])
+        rest = TriMesh(list(rest.vertices) + [Vec3(7.0, 8.0, 9.0)], list(rest.faces))
+        got = blend_shapes(CompatibleSet(rest, [warp_mesh(rest), twist_mesh(rest)]),
+                           [0.5, 0.5])
+        assert got.vertices[:-1] == want.vertices
 
     def test_unreferenced_vertex_stays_at_rest_in_an_interior_query(self):
         # the warm start moves every referenced vertex toward the blend,
@@ -497,6 +581,13 @@ class TestObjIO:
             load_obj(str(path))
         assert fragment in str(err.value)
         assert "bad.obj:" in str(err.value)
+
+    def test_infinite_vertex_coordinate_is_named(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        path.write_text("v 0 0 0\nv 0 inf 0\n")
+        with pytest.raises(FileFormatError) as err:
+            load_obj(str(path))
+        assert str(err.value) == f"{path}:2: vertex coordinate is not finite"
 
     def test_non_utf8_file_is_named(self, tmp_path):
         path = tmp_path / "bad.obj"

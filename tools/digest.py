@@ -3,7 +3,9 @@
     PYTHONPATH=src python tools/digest.py > digest.txt
 
 For seeds 5 and 23 it runs one cycle of each `perfbench.workloads` class
-(convert, animate, meshblend, cli_batch), round-trips the envelope inputs
+(convert, animate, meshblend, cli_batch), takes the single-face forms
+`face_frame` of every rest face and `per_face_affine` of every (target,
+face) pair of the meshblend set (`faces`), round-trips the envelope inputs
 of the probe, and sends each of them through `affine12.batch` as a one-row
 batch, inverse map then forward map. Then the convert cycle's 10 000
 transforms go through both batch maps as one batch (`batch_cycle`, whose
@@ -58,6 +60,7 @@ from affine12 import (  # noqa: E402
     transform_to_params,
 )
 from affine12.batch import params_to_transforms, transforms_to_params  # noqa: E402
+from affine12.meshblend import face_frame, per_face_affine  # noqa: E402
 from perfbench import inputs  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     ENVELOPE_ITEMS,
@@ -105,6 +108,23 @@ def meshblend(seed: int):
             continue
         for v, p in enumerate(out.vertices):
             yield f"query {i} vertex {v}", _hex(p)
+
+
+def faces(seed: int):
+    """The single-face forms on the meshblend set, face by face."""
+    cset = Meshblend(seed).cset
+    rest = cset.rest
+    for j in range(len(rest.faces)):
+        try:
+            yield f"face {j} frame", _hex(face_frame(*rest.face_points(j)))
+        except Exception as exc:  # an output like any other
+            yield f"face {j} frame", _error(exc)
+        for k, target in enumerate(cset.targets):
+            try:
+                a = per_face_affine(rest.face_points(j), target.face_points(j))
+                yield f"target {k} face {j}", _hex(a.to_rows())
+            except Exception as exc:  # an output like any other
+                yield f"target {k} face {j}", _error(exc)
 
 
 def cli_batch(seed: int, workdir: str):
@@ -246,7 +266,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="digest-") as workdir:
         for seed in SEEDS:
             for name, outputs in (("convert", convert(seed)), ("animate", animate(seed)),
-                                  ("meshblend", meshblend(seed)),
+                                  ("meshblend", meshblend(seed)), ("faces", faces(seed)),
                                   ("cli_batch", cli_batch(seed, workdir)),
                                   ("envelope", envelope(seed)), ("batch", batch(seed)),
                                   ("batch_cycle", batch_cycle(seed)),
