@@ -41,14 +41,12 @@ however few its rows.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
-import warnings
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import _DOMAIN_ERRORS, IllConditionedWarning
+from .errors import _DOMAIN_ERRORS
 from .expmap import _EXP_ARG_MAX, _rodrigues
 from .linalg3 import (
     _TWO_THIRDS_PI,
@@ -66,7 +64,6 @@ from .linalg3 import (
 )
 from .logmap import _AXIS_FLOOR, _MAX_REF_ANGLE, _ROTATION_TOL, _TWO_PI, _orth_defect2
 from .param import (
-    _ILL_CONDITIONED_DET,
     _NEWTON_SKIP,
     AffineParam12,
     HomAffine3,
@@ -119,9 +116,7 @@ def transforms_to_params(linear, translation, refs=None) -> np.ndarray:
     i in its `row` and the scalar error as its __cause__: within a row the
     scalar map's order holds (a polar-split error before an out-of-range
     reference angle before a failed rotation check). A NaN input row gives
-    NaNs, as in the scalar map. IllConditionedWarning is issued once if any
-    determinant lies in (0, 1e-6), naming the count and the first such
-    row ("row i").
+    NaNs, as in the scalar map.
     """
     return _transforms_to_params(linear, translation, _LIBM, refs)
 
@@ -153,14 +148,6 @@ def _transforms_to_params(linear, translation, fn: _Transcendentals, refs=None) 
     a = Mat3(*flat.T.copy())
     with np.errstate(all="ignore"):
         det = mat_det(a)
-        ill = np.flatnonzero((det > 0.0) & (det < _ILL_CONDITIONED_DET))
-        if ill.size:
-            warnings.warn(
-                f"{ill.size} determinants close to zero ({_row_name.get()(int(ill[0]))}: "
-                f"{float(det[ill[0]]):.3e}); parameters may lose accuracy",
-                IllConditionedWarning,
-                stacklevel=3,
-            )
         g = gram(a)
         eig, lost = _refined_gram_eig(g, det, fn)
         half_log = _log_spd_half_gram(g, eig, fn)
@@ -210,41 +197,27 @@ def _rows_of(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
     """out[i] = scalar_row(i) for each masked row i, lowest first; an error
-    gets "row i: " in front, i in `row` and the scalar error as __cause__.
-    The batch has warned already, so the rows don't."""
-    rows = np.flatnonzero(masked)
-    if not rows.size:
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        for i in rows.tolist():
-            try:
-                out[i] = scalar_row(i)
-            except _DOMAIN_ERRORS as exc:
-                err = type(exc)(f"row {i}: {exc}")
-                err.row = i
-                raise err from exc
-
-
-# how a batch's IllConditionedWarning names a row; _named_rows sets it
-_row_name = contextvars.ContextVar("_row_name", default=lambda i: f"row {i}")
+    gets "row i: " in front, i in `row` and the scalar error as __cause__."""
+    for i in np.flatnonzero(masked).tolist():
+        try:
+            out[i] = scalar_row(i)
+        except _DOMAIN_ERRORS as exc:
+            err = type(exc)(f"row {i}: {exc}")
+            err.row = i
+            raise err from exc
 
 
 @contextlib.contextmanager
 def _named_rows(name):
     """Within the block, a batch map's error on row i is re-raised as the
     scalar map's error behind it (its __cause__), "{name(i)}: " in front
-    of its message where the batch error has "row i: ", and a batch's
-    IllConditionedWarning names its first row name(i) instead of "row i"."""
-    token = _row_name.set(name)
+    of its message where the batch error has "row i: "."""
     try:
         yield
     except _DOMAIN_ERRORS as exc:
         err = exc.__cause__
         err.args = (f"{name(exc.row)}: {err}",)
         raise err from None
-    finally:
-        _row_name.reset(token)
 
 
 def _sort3(l1, l2, l3):

@@ -2,6 +2,9 @@
 
 Overflow conditions (e.g. exponentiating a stretch whose leading eigenvalue
 exceeds the double-precision range) raise the builtin :class:`OverflowError`.
+The one warning issued is OrientationFlipWarning (per_face_affine).
+SingularMatrixError and IllConditionedWarning are raised and issued by
+nothing; they stay for callers that catch or filter them.
 """
 
 
@@ -57,7 +60,10 @@ class FileFormatError(Affine12Error):
 
 
 class IllConditionedWarning(UserWarning):
-    """Input is close to singular; results may lose accuracy."""
+    """Input is close to singular; results may lose accuracy. No function of
+    this package issues it any more: a small determinant says nothing of
+    accuracy, which follows the condition number, not the scale. It stays
+    for callers that filter it."""
 
 
 class OrientationFlipWarning(UserWarning):

@@ -25,7 +25,9 @@ n = e1 x e2) has determinant |n|, so its inverse is read off its own cross
 products. Lengths are taken in the extent of the rest vertices the faces
 use (a set's, or the rest triangle's), so results do not depend on the
 caller's scale, and one area rule holds: area <= 1e-12 extent^2 is a
-DegenerateTriangleError.
+DegenerateTriangleError. A NaN or infinite corner is a NonFiniteInputError
+naming it, checked before the area rule; the single-face forms test only
+the extent and |n| they compute, and look at the corners once that fails.
 """
 
 from __future__ import annotations
@@ -83,9 +85,11 @@ class CompatibleSet:
 def face_frame(p0: Vec3, p1: Vec3, p2: Vec3) -> Mat3:
     """Columns [p1-p0, p2-p0, unit normal], the normal following the index
     order (counterclockwise) and taken in the triangle's extent, under the
-    area rule (see the module)."""
+    area rule (see the module). A non-finite corner is named ("corner i")."""
     unit = _extent((p0, p1, p2))
     _, _, n, ln = _triangle(*_scaled((p0, p1, p2), unit), math.sqrt)
+    if not math.isfinite(unit + ln):
+        _check_corners(("", (p0, p1, p2)))
     if _degenerate(ln):
         raise _area_error(ln, unit)
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = p0, p1, p2
@@ -99,15 +103,18 @@ def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3]) -> Hom
     target's; the translation pins the first vertex. Both triangles are
     taken in the rest triangle's extent, so the linear part is bit for bit
     the one blend_shapes pulls back for the one-face set, under the same
-    area rule (rest first; see the module). Both normals follow the index
-    order, so the determinant is positive in exact arithmetic; a thin
-    target whose rounding flips it to det <= 0 trips an
-    OrientationFlipWarning (downstream parameter extraction would reject
-    the transform).
+    area rule (rest first; see the module), after the corner check, which
+    names a non-finite corner ("rest corner i", "target corner i"). Both
+    normals follow the index order, so the determinant is positive in
+    exact arithmetic; a thin target whose rounding flips it to det <= 0
+    trips an OrientationFlipWarning (downstream parameter extraction
+    would reject the transform).
     """
     unit = _extent(rest_tri)
     p, q = _scaled(rest_tri, unit), _scaled(target_tri, unit)
     rest, target = _triangle(*p, math.sqrt), _triangle(*q, math.sqrt)
+    if not math.isfinite(unit + rest[3] + target[3]):
+        _check_corners(("rest ", rest_tri), ("target ", target_tri))
     for ln in (rest[3], target[3]):
         if _degenerate(ln):
             raise _area_error(ln, unit)
@@ -127,6 +134,16 @@ def _extent(tri: Sequence[Vec3]) -> float:
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = tri
     return max(max(x0, x1, x2) - min(x0, x1, x2), max(y0, y1, y2) - min(y0, y1, y2),
                max(z0, z1, z2) - min(z0, z1, z2)) or 1.0
+
+
+def _check_corners(*named: tuple[str, Sequence[Vec3]]) -> None:
+    """NonFiniteInputError for the first NaN or infinite corner of the
+    (name prefix, triangle) pairs; nothing if every corner is finite."""
+    for name, tri in named:
+        for i, corner in enumerate(tri):
+            if not all(map(math.isfinite, corner)):
+                raise NonFiniteInputError(
+                    f"{name}corner {i} is not finite: {[float(c) for c in corner]}")
 
 
 def _scaled(tri: Sequence[Vec3], unit: float) -> list[tuple]:
@@ -207,8 +224,7 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     both name the mesh (rest or target k) and the index. A face map that
     transform_to_params cannot pull back raises its error named "target k
     face j: ", and a blend that params_to_transform cannot map forward
-    raises its error named "face j: ". An IllConditionedWarning names the
-    first near-singular face map the same way ("target k face j").
+    raises its error named "face j: ".
     """
     if len(weights) != len(cset.targets):
         raise ValueError(f"{len(cset.targets)} targets but {len(weights)} weights")

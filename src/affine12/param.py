@@ -13,11 +13,10 @@ positive-determinant transform.
 from __future__ import annotations
 
 import math
-import warnings
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import IllConditionedWarning, NotOrientationPreservingError
+from .errors import NotOrientationPreservingError
 from .expmap import exp_so3, exp_sym3_with_eig
 from .linalg3 import (
     ANTISYM3_ZERO,
@@ -41,7 +40,6 @@ from .linalg3 import (
 )
 from .logmap import consistent_log_so3, inv_sqrt_from_log, log_so3, log_spd_half_gram
 
-_ILL_CONDITIONED_DET = 1e-6
 # relative gap below which a Gram eigenvalue counts as a near-multiple root
 _NEWTON_SKIP = 1e-8
 
@@ -189,19 +187,12 @@ def _polar_split(linear: Mat3) -> tuple[SymMat3, SymEig3, Mat3]:
 
     The rotation factor linear * G^(-1/2) gets one Newton orthonormalisation
     step: Gram rounding leaves it non-orthogonal at ~eps * cond(G), and the
-    rotation log would carry that defect into the parameters. Warns with
-    the stacklevel of the public caller.
+    rotation log would carry that defect into the parameters.
     """
     det = mat_det(linear)
     if det <= 0.0:
         raise NotOrientationPreservingError(
             f"linear part has non-positive determinant ({det!r})")
-    if det < _ILL_CONDITIONED_DET:
-        warnings.warn(
-            f"determinant {det:.3e} is close to zero; parameters may lose accuracy",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
     g = gram(linear)
     eig = _refined_gram_eig(g, det)
     half_log = log_spd_half_gram(g, eig)
@@ -218,8 +209,7 @@ def transform_to_params(a: HomAffine3, ref: AffineParam12 | None = None) -> Affi
     on the branch closest to the reference (see consistent_log_so3), which
     lets chained calls track turns past pi.
 
-    Raises NotOrientationPreservingError for det <= 0 and warns
-    IllConditionedWarning below det = 1e-6.
+    Raises NotOrientationPreservingError for det <= 0.
     """
     half_log, _, r = _polar_split(a.linear)
     if ref is None:

@@ -35,6 +35,11 @@ class TestRandomAffine:
         with pytest.raises(ValueError):
             sample_affines(10, -1.0, seed=1)
 
+    def test_rejects_a_floor_too_few_matrices_clear(self):
+        with pytest.raises(ValueError) as err:
+            sample_affines(10, 3.0, seed=1)
+        assert str(err.value) == "det_floor 3.0 is above 2.5: too few matrices clear it"
+
 
 class TestRoundtripStats:
     def test_identity_error_is_noise_level(self):
@@ -49,11 +54,7 @@ class TestRoundtripStats:
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_near_singular_floor_degrades_error(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            loose = roundtrip_error_stats(10000, det_floor=1e-6, seed=3)
+        loose = roundtrip_error_stats(10000, det_floor=1e-6, seed=3)
         tight = roundtrip_error_stats(10000, det_floor=1e-3, seed=3)
         assert loose.max_sq_frobenius_error > tight.max_sq_frobenius_error
 

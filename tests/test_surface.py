@@ -8,7 +8,8 @@ tests). Reference implementations that only tests use live in
 function that this code calls must be set, by keyword or by position, in
 at least one of those calls; a function it never calls (a public entry
 such as `deform_point`) is exempt. The checks read syntax trees, so names
-in docstrings and comments do not count as uses.
+in docstrings and comments do not count as uses. Last, no `src/affine12`
+module touches the warning filters or creates a context variable.
 """
 
 import ast
@@ -113,3 +114,13 @@ def test_every_optional_parameter_is_set_by_some_caller():
                                      for positions, keywords in sites):
                     unset.append(f"{path.stem}.{node.name}({name})")
     assert unset == [], f"no library or benchmark call sets these; drop them: {unset}"
+
+
+def test_no_global_warning_filter_or_context_variable():
+    # the library keeps no global state: the warning filters are
+    # process-global and not thread-safe, changing them makes other modules
+    # repeat warnings already shown once, and a ContextVar is module state
+    banned = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings", "ContextVar"}
+    found = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
+                   for name, _, _ in _calls(_parse(path)) if name in banned)
+    assert found == [], f"library code changes global state: {found}"

@@ -261,7 +261,8 @@ def batch_refs(seed: int):
 
 
 def main() -> int:
-    warnings.simplefilter("ignore")   # near-singular inputs warn on purpose
+    # an older library given by PYTHONPATH warns on near-singular inputs
+    warnings.simplefilter("ignore")
     print(affine12.__file__)
     with tempfile.TemporaryDirectory(prefix="digest-") as workdir:
         for seed in SEEDS:
