@@ -26,7 +26,6 @@ from .errors import (
     NotPositiveDefiniteError,
     OrientationFlipWarning,
     OutOfRangeError,
-    SingularMatrixError,
     SolverNotConvergedError,
 )
 from .expmap import exp_so3, exp_sym3
@@ -83,7 +82,6 @@ __all__ = [
     "OrientationFlipWarning",
     "OutOfRangeError",
     "PoseTrack",
-    "SingularMatrixError",
     "SolverNotConvergedError",
     "SymEig3",
     "SymMat3",

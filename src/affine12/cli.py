@@ -30,7 +30,8 @@ Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
 newline, byte for byte, and are written with one write. Numbers are written
 as shortest round-trip decimals (up to 17 significant digits), so a
 convert/unconvert cycle is bit-faithful. Every result is checked finite
-before the output is opened: a failed command creates or truncates no file.
+before the output is opened, and named as the errors above are: a failed
+command creates or truncates no file.
 
 Exit codes: 0 success, 1 usage, 2 domain error (bad file, non-positive
 determinant, degenerate triangle, ...: an Affine12Error, ValueError or
@@ -209,7 +210,8 @@ def _pull_back(path: str, is_matrix: np.ndarray, values: np.ndarray, refs=None) 
     """Parameter rows of a document: param rows as given, matrix rows pulled
     back in one batch, on the branch nearest the rotation log of refs[i] if
     refs (N, 12) is given. An error is that of transform_to_params on the
-    lowest entry that has one, named after the entry.
+    lowest entry that has one, and then a row beyond the double range, named
+    after the entry.
     """
     block = values.reshape(-1, 3, 4)
     # a param row goes through as the identity, on a zero reference that is
@@ -219,7 +221,8 @@ def _pull_back(path: str, is_matrix: np.ndarray, values: np.ndarray, refs=None) 
         refs = np.where(is_matrix[:, None], refs, 0.0)
     with _named_rows(lambda i: f"{path}: transforms[{i}]"):
         params = transforms_to_params(linear, block[:, :, 3], refs)
-    return np.where(is_matrix[:, None], params, values)
+    return _finite("param", np.where(is_matrix[:, None], params, values),
+                   lambda i: f"{path}: transforms[{i}]")
 
 
 @contextlib.contextmanager
@@ -232,18 +235,25 @@ def _output(path: str | None):
             yield fh
 
 
-def _write_transforms(kind: str, rows, output: str | None) -> None:
-    """Write {"transforms": [{kind: row}, ...]} in one write.
-
-    The text is that of json.dump(doc, fh, indent=2) and a newline, byte for
-    byte. Every row is checked finite before the output is opened, so a
-    result out of the double range fails the command and leaves no file.
-    """
+def _finite(kind: str, rows, name) -> np.ndarray:
+    """rows as a float array; OverflowError, named name(i), if row i is not finite."""
     rows = np.asarray(rows, dtype=float)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise OverflowError(
-            f"transforms[{bad[0]}]: the {kind} result is not finite (out of the double range)")
+            f"{name(int(bad[0]))}: the {kind} result is not finite (out of the double range)")
+    return rows
+
+
+def _write_transforms(kind: str, rows, output: str | None, name) -> None:
+    """Write {"transforms": [{kind: row}, ...]} in one write.
+
+    The text is that of json.dump(doc, fh, indent=2) and a newline, byte for
+    byte. Every row is checked finite (row i named name(i)) before the output
+    is opened, so a result out of the double range fails the command and
+    leaves no file.
+    """
+    rows = _finite(kind, rows, name)
     head = '    {\n      "' + kind + '": [\n        '
     text = ("{\n  \"transforms\": [\n"
             + ",\n".join(head + ",\n        ".join(map(repr, row))
@@ -272,7 +282,8 @@ def _load_refs(path: str | None, count: int) -> np.ndarray | None:
 def _cmd_param(args) -> int:
     is_matrix, values = load_array(args.input)
     refs = _load_refs(args.consistent_with, len(values))
-    _write_transforms("param", _pull_back(args.input, is_matrix, values, refs), args.output)
+    _write_transforms("param", _pull_back(args.input, is_matrix, values, refs), args.output,
+                      lambda i: f"{args.input}: transforms[{i}]")
     return 0
 
 
@@ -282,7 +293,8 @@ def _cmd_unparam(args) -> int:
     with _named_rows(lambda i: f"{args.input}: transforms[{i}]"):
         linear, translation = params_to_transforms(np.where(is_matrix[:, None], 0.0, values))
     rows = np.concatenate((linear, translation[:, :, None]), axis=2).reshape(-1, 12)
-    _write_transforms("matrix", np.where(is_matrix[:, None], values, rows), args.output)
+    _write_transforms("matrix", np.where(is_matrix[:, None], values, rows), args.output,
+                      lambda i: f"{args.input}: transforms[{i}]")
     return 0
 
 
@@ -293,13 +305,14 @@ def _cmd_blend(args) -> int:
             f"{args.input}: {len(values)} transforms but {len(args.weights)} weights")
     refs = _load_refs(args.consistent_with, len(values))
     params = _pull_back(args.input, is_matrix, values, refs)
+    where = f"{args.input}: blend with weights {','.join(map(repr, args.weights))}"
     try:
         result = params_to_transform(weighted_param_sum(
             map(AffineParam12.from_vector, params.tolist()), args.weights))
     except _DOMAIN_ERRORS as exc:
-        exc.args = (f"{args.input}: blend with weights {','.join(map(repr, args.weights))}: {exc}",)
+        exc.args = (f"{where}: {exc}",)
         raise
-    _write_transforms("matrix", [result.to_rows()], args.output)
+    _write_transforms("matrix", [result.to_rows()], args.output, lambda i: where)
     return 0
 
 
@@ -308,16 +321,17 @@ def _cmd_interp(args) -> int:
         raise _UsageError("interp: --samples must be at least 2")
     track = load_track(args.track)
     t0, t1 = track.times[0], track.times[-1]
+    # rounding may carry the last sample one ulp past the track's end
+    times = [min(t0 + (t1 - t0) * i / (args.samples - 1), t1) for i in range(args.samples)]
     out = []
     try:
-        for i in range(args.samples):
-            # rounding may carry the last sample one ulp past the track's end
-            t = min(t0 + (t1 - t0) * i / (args.samples - 1), t1)
+        for i, t in enumerate(times):
             out.append(interpolate_pose(track, t, curve=args.curve).to_rows())
     except _DOMAIN_ERRORS as exc:
         exc.args = (f"{args.track}: sample {i} (t = {t!r}): {exc}",)
         raise
-    _write_transforms("matrix", out, args.output)
+    _write_transforms("matrix", out, args.output,
+                      lambda i: f"{args.track}: sample {i} (t = {times[i]!r})")
     return 0
 
 
@@ -418,13 +432,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help; no command raises it
+        return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

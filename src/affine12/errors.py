@@ -1,10 +1,11 @@
 """Exception and warning types shared across the package.
 
-Overflow conditions (e.g. exponentiating a stretch whose leading eigenvalue
-exceeds the double-precision range) raise the builtin :class:`OverflowError`.
-The one warning issued is OrientationFlipWarning (per_face_affine).
-SingularMatrixError and IllConditionedWarning are raised and issued by
-nothing; they stay for callers that catch or filter them.
+Every failure is raised, as an Affine12Error that names its cause, or as
+the builtin :class:`OverflowError` for a result beyond the double range
+(e.g. exponentiating a stretch whose leading eigenvalue is too large).
+No function of the package warns: IllConditionedWarning and
+OrientationFlipWarning are issued by nothing and stay for callers that
+filter them.
 """
 
 
@@ -14,11 +15,6 @@ class Affine12Error(Exception):
 
 # what a map raises for an input it cannot take (batch rows, CLI exit 2)
 _DOMAIN_ERRORS = (Affine12Error, ArithmeticError, ValueError)
-
-
-class SingularMatrixError(Affine12Error):
-    """Matrix inversion was requested for a singular matrix. No function of
-    this package raises it any more; it stays for callers that catch it."""
 
 
 class NotPositiveDefiniteError(Affine12Error):
@@ -60,13 +56,11 @@ class FileFormatError(Affine12Error):
 
 
 class IllConditionedWarning(UserWarning):
-    """Input is close to singular; results may lose accuracy. No function of
-    this package issues it any more: a small determinant says nothing of
-    accuracy, which follows the condition number, not the scale. It stays
-    for callers that filter it."""
+    """Input is close to singular. Issued by nothing: a small determinant says
+    nothing of accuracy, which follows the condition number, not the scale."""
 
 
 class OrientationFlipWarning(UserWarning):
-    """A face transform has non-positive determinant: rounding flipped a
-    thin face, whose index-order normals preserve orientation in exact
-    arithmetic."""
+    """A face transform has non-positive determinant. Issued by nothing:
+    per_face_affine returns such a map, and its pull-back raises
+    NotOrientationPreservingError, as blend_shapes does for the face."""

@@ -33,7 +33,6 @@ the extent and |n| they compute, and look at the corners once that fails.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -45,10 +44,9 @@ from .errors import (
     DegenerateTriangleError,
     FileFormatError,
     NonFiniteInputError,
-    OrientationFlipWarning,
     SolverNotConvergedError,
 )
-from .linalg3 import Mat3, Vec3, _new, mat_det, mat_mul, mat_vec
+from .linalg3 import Mat3, Vec3, _new, mat_mul, mat_vec
 from .param import HomAffine3
 
 _MIN_AREA = 1e-12
@@ -106,9 +104,9 @@ def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3]) -> Hom
     area rule (rest first; see the module), after the corner check, which
     names a non-finite corner ("rest corner i", "target corner i"). Both
     normals follow the index order, so the determinant is positive in
-    exact arithmetic; a thin target whose rounding flips it to det <= 0
-    trips an OrientationFlipWarning (downstream parameter extraction
-    would reject the transform).
+    exact arithmetic; rounding may leave a thin target's map at det <= 0,
+    which is returned as it is, and which transform_to_params rejects with
+    the NotOrientationPreservingError that blend_shapes raises for the face.
     """
     unit = _extent(rest_tri)
     p, q = _scaled(rest_tri, unit), _scaled(target_tri, unit)
@@ -119,10 +117,6 @@ def per_face_affine(rest_tri: Sequence[Vec3], target_tri: Sequence[Vec3]) -> Hom
         if _degenerate(ln):
             raise _area_error(ln, unit)
     linear, (tx, ty, tz) = _face_map(_frame(*target), _frame_inverse(*rest), p[0], q[0])
-    det = mat_det(linear)
-    if det <= 0.0:
-        warnings.warn(f"face transform determinant {det:.3e} flips orientation",
-                      OrientationFlipWarning, stacklevel=2)
     return HomAffine3(linear, _new(Vec3, (tx * unit, ty * unit, tz * unit)))
 
 

@@ -181,6 +181,19 @@ class TestParamUnparam:
         assert "transforms[1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_not_finite_param_result_names_the_file(self, tmp_path, capsys):
+        # 1e300 I has det 1e900: the Gram route overflows at this scale, so
+        # the pull-back is not finite. ROADMAP item 2's scale-invariant
+        # inverse map changes this case into a finite result.
+        src = tmp_path / "big.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"matrix": [1e300, 0, 0, 0, 0, 1e300, 0, 0, 0, 0, 1e300, 0]}])
+        assert main(["param", str(src), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[0]: the param result is not finite "
+            "(out of the double range)\n")
+        assert not out.exists()
+
 
     def test_unparam_library_error_names_the_entry(self, tmp_path, capsys):
         src = tmp_path / "in.json"
@@ -212,6 +225,19 @@ class TestParamUnparam:
         # a reference file is named when its own entry cannot be converted
         assert main(["param", str(refs), "--consistent-with", str(src)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {src}: transforms[1]: ")
+
+    def test_not_finite_reference_names_the_reference_file(self, tmp_path, capsys):
+        # the reference pulls back to NaN: its own file and entry are named,
+        # not the input entry it was to be used for
+        src = tmp_path / "in.json"
+        refs = tmp_path / "refs.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}])
+        write_transforms(refs, [{"matrix": HUGE_ROWS}])
+        for command in (["param", str(src)], ["blend", str(src), "--weights", "1"]):
+            assert main([*command, "--consistent-with", str(refs)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {refs}: transforms[0]: the param result is not finite "
+                "(out of the double range)\n")
 
     @pytest.mark.parametrize("ref_angle", [1e17, 1e300])
     def test_consistent_with_reference_out_of_range_exits_2(self, tmp_path, ref_angle):
@@ -245,6 +271,26 @@ class TestBlendCommand:
         assert main(["blend", str(src), "--weights", "1", "-o", str(out)]) == 2
         assert "transforms[0]" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
+
+    def test_not_finite_result_names_file_and_weights(self, tmp_path, capsys):
+        # the translation 2e308 overflows to inf: output row 0 is the blend,
+        # not entry 0, so the blend is named
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        write_transforms(src, [{"param": [1e308] + [0] * 11}])
+        assert main(["blend", str(src), "--weights", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: blend with weights 2.0: the matrix result is not finite "
+            "(out of the double range)\n")
+        assert not out.exists()
+
+    def test_not_finite_pull_back_names_the_entry(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        write_transforms(src, [{"matrix": IDENTITY_ROWS}, {"matrix": HUGE_ROWS}])
+        assert main(["blend", str(src), "--weights", "0.5,0.5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: transforms[1]: the param result is not finite "
+            "(out of the double range)\n")
 
     def test_forward_map_error_names_file_and_weights(self, tmp_path, capsys):
         src = tmp_path / "in.json"
@@ -403,6 +449,21 @@ class TestInterpCommand:
         assert capsys.readouterr().err == (
             f"error: {track}: sample 4 (t = 1.0): "
             "exp of leading eigenvalue 800.0 is not representable\n")
+
+    @pytest.mark.parametrize("curve", ["linear", "hermite", "bspline"])
+    def test_not_finite_sample_names_the_sample(self, tmp_path, capsys, curve):
+        # knot differences of 2e308 overflow, so sample 0 is not finite on every curve
+        track = tmp_path / "track.json"
+        out = tmp_path / "out.json"
+        knots = [{"time": t, "param": [x] + [0] * 11}
+                 for t, x in [(0.0, -1e308), (1.0, 1e308), (2.0, -1e308)]]
+        track.write_text(json.dumps({"knots": knots}))
+        assert main(["interp", str(track), "--samples", "3", "--curve", curve,
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {track}: sample 0 (t = 0.0): the matrix result is not finite "
+            "(out of the double range)\n")
+        assert not out.exists()
 
     def test_samples_checked_before_the_track_is_read(self, tmp_path, capsys):
         missing = tmp_path / "nothere.json"

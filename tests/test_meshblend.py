@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from affine12.errors import (
     FileFormatError,
     NonFiniteInputError,
     NotARotationError,
-    OrientationFlipWarning,
+    NotOrientationPreservingError,
     SolverNotConvergedError,
 )
 from affine12.linalg3 import (
@@ -23,6 +24,7 @@ from affine12.linalg3 import (
     Mat3,
     Vec3,
     gram,
+    mat_det,
     mat_vec,
     vec_add,
 )
@@ -40,7 +42,7 @@ from affine12.meshblend import (
     save_obj,
     write_obj,
 )
-from affine12.param import HomAffine3
+from affine12.param import HomAffine3, transform_to_params
 from conftest import axis_angle_rotation, mat_dist, rand_unit_axis, sym_to_mat3, vec_dist
 
 TRI = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.2, 1.1, 0.0))
@@ -161,15 +163,26 @@ class TestPerFaceAffine:
 
         assert mat_det(a.linear) > 0.0
 
-    def test_rounding_flip_of_a_thin_target_warns(self):
+    def test_rounding_flip_of_a_thin_target_fails_in_the_pull_back(self):
         # index-order normals preserve orientation in exact arithmetic, but
-        # on a near-collinear target rounding leaves the determinant at 0
+        # on a near-collinear target rounding leaves the determinant at 0;
+        # the map is returned without a warning, and its pull-back fails as
+        # blend_shapes does for the one-face set
         thin = (Vec3(97.66169574709912, -84.36695766209978, 279.7319923217762),
                 Vec3(-122.69076383540263, -182.73657594143572, 14.189977689620491),
                 Vec3(-12.514534044151667, -133.5517668017677, 146.96098500569846))
         unit = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0))
-        with pytest.warns(OrientationFlipWarning, match="determinant 0.000e"):
-            per_face_affine(unit, thin)
+        cset = CompatibleSet(TriMesh(list(unit), [(0, 1, 2)]), [TriMesh(list(thin), [(0, 1, 2)])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = per_face_affine(unit, thin)
+            assert mat_det(a.linear) <= 0.0
+            with pytest.raises(NotOrientationPreservingError) as pulled:
+                transform_to_params(a)
+            with pytest.raises(NotOrientationPreservingError) as blended:
+                blend_shapes(cset, [0.5])
+        assert str(pulled.value) == "linear part has non-positive determinant (0.0)"
+        assert str(blended.value) == f"target 0 face 0: {pulled.value}"
 
     def test_thin_rest_triangle_is_degenerate(self):
         # the thin triangle above has an area of 2.4e-12 against an extent

@@ -8,8 +8,11 @@ tests). Reference implementations that only tests use live in
 function that this code calls must be set, by keyword or by position, in
 at least one of those calls; a function it never calls (a public entry
 such as `deform_point`) is exempt. The checks read syntax trees, so names
-in docstrings and comments do not count as uses. Last, no `src/affine12`
-module touches the warning filters or creates a context variable.
+in docstrings and comments do not count as uses. No `src/affine12`
+module touches the warning filters, creates a context variable, imports
+`warnings` or calls `warn`: a failure is raised, one way. Last, every class
+of `errors.py` is constructed somewhere in `src/affine12` or named by a
+benchmark module, so no error type is dead.
 """
 
 import ast
@@ -124,3 +127,32 @@ def test_no_global_warning_filter_or_context_variable():
     found = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py")
                    for name, _, _ in _calls(_parse(path)) if name in banned)
     assert found == [], f"library code changes global state: {found}"
+
+
+def test_no_library_module_warns():
+    # a failure is raised, not warned: a warning is a second way to report
+    # it, and warn() writes the caller's __warningregistry__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{path.stem}: import {a.name}" for a in node.names
+                          if a.name.split(".")[0] == "warnings"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                found.append(f"{path.stem}: from warnings import ...")
+        found += [f"{path.stem}: {name}()" for name, _, _ in _calls(tree) if name == "warn"]
+    assert found == [], f"library code warns: {found}"
+
+
+def test_every_error_class_is_raised_or_named_by_the_benchmark():
+    # an exception or warning type that nothing constructs is dead, unless
+    # the benchmark names it (then deleting it is a benchmark change)
+    constructed = {name for path in SRC.glob("*.py") for name, _, _ in _calls(_parse(path))}
+    named = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        named |= _used_names(_parse(path))
+    classes = [node.name for node in _parse(SRC / "errors.py").body
+               if isinstance(node, ast.ClassDef)]
+    dead = sorted(c for c in classes if c not in constructed | named)
+    assert dead == [], f"nothing raises, issues or names these: {dead}"

@@ -2,10 +2,13 @@
 
     python3 tools/pairs.py --workload animate --seed 5 --pairs 5
 
-The parent is `HEAD`, exported with `git archive` into a temporary
-directory that is removed when the script ends (an export, not a
-`git worktree`, so an interrupted run leaves nothing in `.git`). The change
-is the working tree of this checkout. Each pair runs both sides, each as
+The parent is `HEAD`, exported with `git archive`, and the change is the
+working tree of this checkout (tracked and untracked files, not the ignored
+ones), copied. Both go into one temporary directory that is removed when
+the script ends, as `parent` and `change`: the two roots differ only in
+that name, of the same length, so the sides differ in code alone, not in
+where they run from (exports, not a `git worktree`, so an interrupted run
+leaves nothing in `.git`). Each pair runs both sides, each as
 the `command` of BENCHMARK.json (`perfbench/run.py`) from its own checkout
 root, with `--seconds` set to BENCHMARK.json's `run_seconds` and
 `--trace 0`. The parent runs first in odd pairs and the change in even
@@ -35,6 +38,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,16 +60,26 @@ def _parse(argv):
     return args
 
 
-def _git(*args) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+def _git(root: str, *args) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True).stdout
 
 
-def _export_head(dest: str) -> str:
-    """Write the files of HEAD into dest; return the commit id."""
-    commit = _git("rev-parse", "HEAD").decode().strip()
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
-        tar.extractall(dest, filter="data")
-    return commit
+def _export(root: str, tmp: str) -> tuple[str, dict[str, str]]:
+    """Write the files of root's HEAD into tmp/parent and those of its
+    working tree, ignored files left out, into tmp/change; return the
+    commit id and the two roots."""
+    roots = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
+    commit = _git(root, "rev-parse", "HEAD").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git(root, "archive", "--format=tar", commit))) as tar:
+        tar.extractall(roots["parent"], filter="data")
+    names = _git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in map(os.fsdecode, filter(None, names.split(b"\0"))):
+        src = os.path.join(root, name)
+        if os.path.isfile(src):   # not a tracked file deleted in the working tree
+            dest = os.path.join(roots["change"], name)
+            os.makedirs(os.path.dirname(dest), exist_ok=True)
+            shutil.copy2(src, dest)
+    return commit, roots
 
 
 def _run(command, root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -113,8 +127,7 @@ def main(argv=None) -> int:
     results = {"parent": [], "change": []}
     first = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        commit = _export_head(tmp)
-        roots = {"parent": tmp, "change": ROOT}
+        commit, roots = _export(ROOT, tmp)
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             first.append(order[0])
