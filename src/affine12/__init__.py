@@ -14,6 +14,7 @@ from .blend import (
     blend,
     deform_point,
     interpolate_pose,
+    sample_poses,
 )
 from .errors import (
     Affine12Error,
@@ -106,6 +107,7 @@ __all__ = [
     "per_face_affine",
     "polar_decompose",
     "project_to_class",
+    "sample_poses",
     "save_obj",
     "sym_eigenvalues",
     "transform_to_params",

@@ -197,14 +197,19 @@ def _rows_of(x, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _scalar_rows(out: np.ndarray, masked: np.ndarray, scalar_row) -> None:
     """out[i] = scalar_row(i) for each masked row i, lowest first; an error
-    gets "row i: " in front, i in `row` and the scalar error as __cause__."""
+    is raised as _row_error(i, error), with the scalar error as __cause__."""
     for i in np.flatnonzero(masked).tolist():
         try:
             out[i] = scalar_row(i)
         except _DOMAIN_ERRORS as exc:
-            err = type(exc)(f"row {i}: {exc}")
-            err.row = i
-            raise err from exc
+            raise _row_error(i, exc) from exc
+
+
+def _row_error(i: int, exc: Exception) -> Exception:
+    """exc's type with "row i: " in front of its message and i in `row`."""
+    err = type(exc)(f"row {i}: {exc}")
+    err.row = i
+    return err
 
 
 @contextlib.contextmanager

@@ -11,9 +11,14 @@ Weights are taken as-is: nothing here normalises them, so extrapolation
 (weights outside [0, 1], sums away from 1) is available by construction.
 Callers who want interpolation semantics supply a partition of unity.
 
-Pose curves are prepared once per track (PoseTrack) and evaluated per call
-(interpolate_pose). Every B-spline is cubic: tracks of two or three knots
-are degree-elevated to cubic control rows that trace the same linear or
+Pose curves are prepared once per track (PoseTrack) and evaluated at one
+time per call (interpolate_pose) or at many times in one pass
+(sample_poses), which callers with many times should use: it gathers the
+prepared rows for all times, combines them as arrays and maps them forward
+in one affine12.batch call, equal to interpolate_pose bit for bit. Each
+curve's basis weights are written once, for a float or an array of times
+alike. Every B-spline is cubic: tracks of two or three knots are
+degree-elevated to cubic control rows that trace the same linear or
 quadratic curve, so one unrolled Cox-de Boor evaluator serves all tracks.
 """
 
@@ -24,6 +29,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
+from .batch import _row_error, params_to_transforms
 from .errors import NonFiniteInputError, OutOfRangeError
 from .linalg3 import Vec3
 from .param import (
@@ -180,10 +188,14 @@ def interpolate_pose(track: PoseTrack, t: float, curve: str = "hermite") -> HomA
     combination of at most four 12-vectors and the forward map. Whichever
     the mode, the curve part costs about half as much as the forward map
     (about 3 against 6.5 µs with CPython 3.11 on a 2-vCPU Intel Xeon).
+    For many times, sample_poses gives the same poses in one batch pass:
+    about 1.1 µs a sample past a fixed cost of about 0.23 ms a call, where
+    this call took 7.7 to 8.9 µs on the same Xeon, so it wins from about
+    30 times on.
     """
     times = track.times
     if not times[0] <= t <= times[-1]:
-        raise OutOfRangeError(f"t = {t!r} outside [{times[0]!r}, {times[-1]!r}]")
+        raise _out_of_range(times, t)
     if curve == "linear":
         out = _eval_linear(track, t)
     elif curve == "hermite":
@@ -195,9 +207,91 @@ def interpolate_pose(track: PoseTrack, t: float, curve: str = "hermite") -> HomA
     return params_to_transform(AffineParam12.from_vector(out))
 
 
+def sample_poses(track: PoseTrack, times, curve: str = "hermite") -> tuple[np.ndarray, np.ndarray]:
+    """interpolate_pose at each of the F times, as linear (F, 3, 3) and translation (F, 3).
+
+    One pass for all times: the segments are looked up together, the basis
+    weights and the combinations of the prepared rows are computed on
+    arrays in interpolate_pose's operation order, and the (F, 12) rows go
+    through one batch.params_to_transforms call, so sample i is
+    interpolate_pose(track, times[i], curve) bit for bit.
+
+    Raises ValueError for an unknown curve or times that are not one row
+    of floats. For the lowest sample i whose time lies outside the track
+    (NaN included) it raises interpolate_pose's OutOfRangeError, and a
+    sample the forward map rejects raises params_to_transforms's error;
+    either way "row i: " is in front, with i in `row` and the scalar error
+    as __cause__.
+    """
+    if curve not in CURVE_KINDS:
+        raise ValueError(f"unknown curve {curve!r}; expected one of {CURVE_KINDS}")
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times: expected shape (F,), got {t.shape}")
+    knot_times = np.array(track.times)
+    outside = np.flatnonzero(~((knot_times[0] <= t) & (t <= knot_times[-1])))
+    if outside.size:
+        i = int(outside[0])
+        exc = _out_of_range(track.times, float(t[i]))
+        raise _row_error(i, exc) from exc
+    with np.errstate(all="ignore"):
+        if curve == "bspline":
+            knots, rows = np.array(track._spline_knots), np.array(track._spline_rows)
+            u = (t - knot_times[0]) / (knot_times[-1] - knot_times[0])
+            k = np.minimum(np.searchsorted(knots, u, side="right") - 1, len(rows) - 1)
+            w0, w1, w2, w3 = _bspline_weights(u[:, None], *(knots[k + j][:, None]
+                                                             for j in range(-2, 4)))
+            params = w0 * rows[k - 3] + w1 * rows[k - 2] + w2 * rows[k - 1] + w3 * rows[k]
+        else:
+            i = np.clip(np.searchsorted(knot_times, t, side="right") - 1, 0, len(knot_times) - 2)
+            t0, t1 = knot_times[i][:, None], knot_times[i + 1][:, None]
+            rows = np.array(track._rows)
+            a, b = rows[i], rows[i + 1]
+            if curve == "linear":
+                s = (t[:, None] - t0) / (t1 - t0)
+                params = a + s * (b - a)
+            else:
+                tangents = np.array(track._tangents)
+                dt = t1 - t0
+                w00, w10, w01, w11 = _hermite_weights((t[:, None] - t0) / dt, dt)
+                params = w00 * a + w10 * tangents[i] + w01 * b + w11 * tangents[i + 1]
+    return params_to_transforms(params)
+
+
+def _out_of_range(times, t) -> OutOfRangeError:
+    return OutOfRangeError(f"t = {t!r} outside [{times[0]!r}, {times[-1]!r}]")
+
+
 def _segment(times, t) -> int:
     i = bisect.bisect_right(times, t) - 1
     return min(max(i, 0), len(times) - 2)
+
+
+def _hermite_weights(s, dt):
+    """The cubic Hermite basis at the segment fraction s, the tangent
+    weights times the segment length dt; floats or arrays alike."""
+    s2 = s * s
+    s3 = s2 * s
+    return 2.0 * s3 - 3.0 * s2 + 1.0, (s3 - 2.0 * s2 + s) * dt, -2.0 * s3 + 3.0 * s2, (s3 - s2) * dt
+
+
+def _bspline_weights(u, km2, km1, k0, k1, k2, k3):
+    """The four cubic B-spline basis values at u on the knot span [k0, k1),
+    from the knots km2 .. k3 around it; floats or arrays alike.
+
+    Cox-de Boor in its convex form, unrolled for degree 3: with u on a span
+    end, every ratio is exactly 0 or 1, so both track endpoints come out exact.
+    """
+    d0, d1 = u - k0, u - km1
+    a = d0 / (k1 - k0)
+    w0, w1 = 1.0 - a, a
+    a = d1 / (k1 - km1)
+    b = d0 / (k2 - k0)
+    v0, v1, v2 = (1.0 - a) * w0, a * w0 + (1.0 - b) * w1, b * w1
+    a = (u - km2) / (k1 - km2)
+    b = d1 / (k2 - km1)
+    c = d0 / (k3 - k0)
+    return (1.0 - a) * v0, a * v0 + (1.0 - b) * v1, b * v1 + (1.0 - c) * v2, c * v2
 
 
 def _eval_linear(track, t):
@@ -212,13 +306,7 @@ def _eval_hermite(track, t):
     times = track.times
     i = _segment(times, t)
     dt = times[i + 1] - times[i]
-    s = (t - times[i]) / dt
-    s2 = s * s
-    s3 = s2 * s
-    w00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    w10 = (s3 - 2.0 * s2 + s) * dt
-    w01 = -2.0 * s3 + 3.0 * s2
-    w11 = (s3 - s2) * dt
+    w00, w10, w01, w11 = _hermite_weights((t - times[i]) / dt, dt)
     p0, p1 = track._rows[i], track._rows[i + 1]
     m0, m1 = track._tangents[i], track._tangents[i + 1]
     return [w00 * a + w10 * ma + w01 * b + w11 * mb
@@ -233,18 +321,6 @@ def _eval_bspline(track, t):
     # the knot span [knots[k], knots[k+1]) holding u (k >= 3, as u >= 0);
     # u = 1 takes the last one
     k = min(bisect.bisect_right(knots, u) - 1, len(rows) - 1)
-    km2, km1, k0, k1, k2, k3 = knots[k - 2:k + 4]
-    # Cox-de Boor in its convex form, unrolled for degree 3: with u on a span
-    # end, every ratio is exactly 0 or 1, so both track endpoints come out exact
-    d0, d1 = u - k0, u - km1
-    a = d0 / (k1 - k0)
-    w0, w1 = 1.0 - a, a
-    a = d1 / (k1 - km1)
-    b = d0 / (k2 - k0)
-    v0, v1, v2 = (1.0 - a) * w0, a * w0 + (1.0 - b) * w1, b * w1
-    a = (u - km2) / (k1 - km2)
-    b = d1 / (k2 - km1)
-    c = d0 / (k3 - k0)
-    w0, w1, w2, w3 = (1.0 - a) * v0, a * v0 + (1.0 - b) * v1, b * v1 + (1.0 - c) * v2, c * v2
+    w0, w1, w2, w3 = _bspline_weights(u, *knots[k - 2:k + 4])
     return [w0 * p + w1 * q + w2 * r + w3 * s
             for p, q, r, s in zip(*rows[k - 3:k + 1])]

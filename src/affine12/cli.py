@@ -13,18 +13,25 @@ the --consistent-with branch if one is given); a blend the library cannot
 map forward names the file and weights ("{path}: blend with weights
 w1,w2,...: ..."). A reference rotation log longer than 1e7 rad, in a
 --consistent-with file or reached by chaining matrix knots, is a domain
-error naming the entry it was used for. An `interp` sample the library
-cannot map names itself ("{path}: sample i (t = ...): ...").
-Meshes are Wavefront OBJ.
+error naming the entry it was used for. `interp` samples the track at n
+evenly spaced times, t0 + (t1 - t0) * i / (n - 1), each rounded as if the
+exponent range had no end, so a span whose products overflow still gets
+them; a sample the library cannot map names itself ("{path}: sample i
+(t = ...): ..."). Meshes are Wavefront OBJ.
 
-A document is decoded into one (N, 12) array, its determinants checked in
-one pass, and `param`, `unparam` and `blend` convert it in one pass of the
+A document is checked and decoded in one pass: list comprehensions check
+each entry's field and list length, one exact-type test covers all its
+numbers (JSON integers load as the doubles they round to), and one
+(N, 12) array is checked finite and its determinants checked together.
+`param`, `unparam` and `blend` then convert it in one pass of the
 affine12.batch maps, which equal the scalar maps bit for bit; the
 --consistent-with references go into that pass too, one row per entry
 (a param entry's reference is not used, so it is not checked). An error
-still names the lowest entry that has one, with the scalar map's message.
-Only a track's matrix knots are converted one by one, each on the branch
-of the knot before it.
+still names the lowest entry that has one, with its own message, or the
+scalar map's. `interp` samples in one pass too, through
+affine12.blend.sample_poses, equal to interpolate_pose bit for bit. Only a
+track's matrix knots are converted one by one, each on the branch of the
+knot before it.
 
 Output documents have the layout of `json.dump(doc, fh, indent=2)` plus a
 newline, byte for byte, and are written with one write. Numbers are written
@@ -58,7 +65,7 @@ from .bench import (
     timing_run,
     write_csv,
 )
-from .blend import CURVE_KINDS, PoseTrack, interpolate_pose
+from .blend import CURVE_KINDS, PoseTrack, sample_poses
 from .errors import (
     _DOMAIN_ERRORS,
     FileFormatError,
@@ -91,18 +98,31 @@ def _reject_constant(token: str):
     raise FileFormatError(f"non-finite number {token!r} is not allowed")
 
 
+def _int_as_float(token: str) -> float:
+    """An integer literal as the double it rounds to, inf beyond the double
+    range; "-0" is the integer 0."""
+    return float(token) + 0.0
+
+
 def _load_json(path: str):
+    """The document at path, every number a float (see _int_as_float)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_int=_int_as_float, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-_NUMBER_TYPES = {int, float}   # exact types: JSON true/false load as bool
+_KINDS = ("matrix", "param")
 _LINEAR_COLUMNS = [0, 1, 2, 4, 5, 6, 8, 9, 10]   # of a row-major 3x4 block
+
+
+def _all_numbers(values) -> bool:
+    """Whether every value is a JSON number: a float, as _load_json loads
+    them, by exact type, since JSON true/false load as bool."""
+    return {float}.issuperset(map(type, values))
 
 
 def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float]]:
@@ -111,16 +131,11 @@ def _entry_values(path: str, field: str, i: int, entry) -> tuple[str, list[float
         raise FileFormatError(
             f"{path}: {field}[{i}] must be an object with exactly one of 'matrix'/'param'")
     (kind, values), = entry.items()
-    if kind not in ("matrix", "param"):
+    if kind not in _KINDS:
         raise FileFormatError(f"{path}: {field}[{i}] has unknown field {kind!r}")
-    if (not isinstance(values, list) or len(values) != 12
-            or not _NUMBER_TYPES.issuperset(map(type, values))):
+    if not isinstance(values, list) or len(values) != 12 or not _all_numbers(values):
         raise FileFormatError(f"{path}: {field}[{i}].{kind} must be a list of 12 numbers")
-    try:
-        values = list(map(float, values))
-    except OverflowError:   # an integer literal beyond the double range
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):
         raise FileFormatError(f"{path}: {field}[{i}].{kind} contains a non-finite number")
     return kind, values
 
@@ -129,8 +144,10 @@ def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
     """A transform document as its matrix mask (N,) and its values (N, 12).
 
     Row i holds entry i's 12 numbers, the 3x4 block row-major for a matrix
-    entry. The determinants are checked together; the lowest entry that
-    fails any check raises its own error.
+    entry. The document is checked in one pass: the entries' fields and
+    list lengths, then the types of all their numbers together, one array
+    and its finiteness, then the determinants. The lowest entry that fails
+    any check raises its own error.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("transforms"), list):
@@ -138,15 +155,20 @@ def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
     items = doc["transforms"]
     if not items:
         raise FileFormatError(f"{path}: 'transforms' list is empty")
-    decoded, error = [], None
-    for i, e in enumerate(items):
-        try:
-            decoded.append(_entry_values(path, "transforms", i, e))
-        except FileFormatError as exc:
-            error = exc
-            break
-    is_matrix = np.array([k == "matrix" for k, _ in decoded], dtype=bool)
-    values = np.array([v for _, v in decoded], dtype=float).reshape(-1, 12)
+    kinds = [next(iter(e)) if isinstance(e, dict) and len(e) == 1 else None for e in items]
+    lists = [e[k] if k in _KINDS else None for e, k in zip(items, kinds)]
+    shaped = [isinstance(v, list) and len(v) == 12 for v in lists]
+    # entries [0, n) pass every check so far; entry n (if any) fails one
+    n = shaped.index(False) if False in shaped else len(items)
+    flat = [x for v in lists[:n] for x in v]
+    if not _all_numbers(flat):
+        n = next(k for k, x in enumerate(flat) if type(x) is not float) // 12
+    values = np.array(flat[:12 * n], dtype=float).reshape(-1, 12)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        values = values[:n]
+    is_matrix = np.array([k == "matrix" for k in kinds[:n]], dtype=bool)
     with np.errstate(all="ignore"):
         det = mat_det(Mat3(*values[:, _LINEAR_COLUMNS].T))
     bad = np.flatnonzero(is_matrix & (det <= 0.0))
@@ -154,8 +176,8 @@ def load_array(path: str) -> tuple[np.ndarray, np.ndarray]:
         i = int(bad[0])
         raise FileFormatError(f"{path}: transforms[{i}]: linear part has non-positive "
                               f"determinant ({float(det[i])!r})")
-    if error is not None:
-        raise error
+    if n < len(items):
+        _entry_values(path, "transforms", n, items[n])   # raises entry n's own error
     return is_matrix, values
 
 
@@ -180,11 +202,7 @@ def load_track(path: str) -> PoseTrack:
         if not isinstance(item, dict) or "time" not in item:
             raise FileFormatError(f"{path}: knots[{i}] needs a 'time' field")
         t = item["time"]
-        try:
-            finite = type(t) in _NUMBER_TYPES and math.isfinite(t)
-        except OverflowError:   # an integer literal beyond the double range
-            finite = False
-        if not finite:
+        if not (_all_numbers([t]) and math.isfinite(t)):
             raise FileFormatError(f"{path}: knots[{i}].time must be a finite number")
         entry = {k: v for k, v in item.items() if k != "time"}
         kind, values = _entry_values(path, "knots", i, entry)
@@ -199,7 +217,7 @@ def load_track(path: str) -> PoseTrack:
             except _DOMAIN_ERRORS as exc:
                 exc.args = (f"{path}: knots[{i}]: {exc}",)
                 raise
-        times.append(float(t))
+        times.append(t)
     try:
         return PoseTrack(tuple(knots), tuple(times))
     except (ValueError, NonFiniteInputError) as exc:
@@ -291,8 +309,7 @@ def _cmd_unparam(args) -> int:
     is_matrix, values = load_array(args.input)
     # a matrix row goes through as zero parameters, and its result is dropped
     with _named_rows(lambda i: f"{args.input}: transforms[{i}]"):
-        linear, translation = params_to_transforms(np.where(is_matrix[:, None], 0.0, values))
-    rows = np.concatenate((linear, translation[:, :, None]), axis=2).reshape(-1, 12)
+        rows = _matrix_rows(*params_to_transforms(np.where(is_matrix[:, None], 0.0, values)))
     _write_transforms("matrix", np.where(is_matrix[:, None], values, rows), args.output,
                       lambda i: f"{args.input}: transforms[{i}]")
     return 0
@@ -320,19 +337,34 @@ def _cmd_interp(args) -> int:
     if args.samples < 2:
         raise _UsageError("interp: --samples must be at least 2")
     track = load_track(args.track)
-    t0, t1 = track.times[0], track.times[-1]
-    # rounding may carry the last sample one ulp past the track's end
-    times = [min(t0 + (t1 - t0) * i / (args.samples - 1), t1) for i in range(args.samples)]
-    out = []
-    try:
-        for i, t in enumerate(times):
-            out.append(interpolate_pose(track, t, curve=args.curve).to_rows())
-    except _DOMAIN_ERRORS as exc:
-        exc.args = (f"{args.track}: sample {i} (t = {t!r}): {exc}",)
-        raise
-    _write_transforms("matrix", out, args.output,
-                      lambda i: f"{args.track}: sample {i} (t = {times[i]!r})")
+    times = _sample_times(track.times[0], track.times[-1], args.samples)
+
+    def name(i):
+        return f"{args.track}: sample {i} (t = {times[i]!r})"
+    with _named_rows(name):
+        rows = _matrix_rows(*sample_poses(track, times, args.curve))
+    _write_transforms("matrix", rows, args.output, name)
     return 0
+
+
+def _sample_times(t0: float, t1: float, n: int) -> list[float]:
+    """n evenly spaced times from t0 to t1: t0 + (t1 - t0) * i / (n - 1).
+
+    On a span so wide that (t1 - t0) * (n - 1) overflows, the span is
+    scaled down by 2^k before the product and up by 2^k after the
+    quotient, with 2^k > n - 1. Both are exact, so each time is the
+    formula's, rounded as if the exponent range had no end. Rounding may
+    carry the last time one ulp past t1; it is clamped to t1.
+    """
+    span, last = t1 - t0, n - 1
+    k = last.bit_length() if math.isinf(span * last) else 0
+    down, up = 2.0 ** -k, 2.0 ** k
+    return [min(t0 + span * down * i / last * up, t1) for i in range(n)]
+
+
+def _matrix_rows(linear: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """Row-major 3x4 rows (N, 12) of linear parts (N, 3, 3) and translations (N, 3)."""
+    return np.concatenate((linear, translation[:, :, None]), axis=2).reshape(-1, 12)
 
 
 def _cmd_meshblend(args) -> int:

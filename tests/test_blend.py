@@ -2,11 +2,13 @@ import bisect
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine12.blend import (
+    CURVE_KINDS,
     PoseTrack,
     WeightedTransforms,
     _eval_bspline,
@@ -15,6 +17,7 @@ from affine12.blend import (
     blend,
     deform_point,
     interpolate_pose,
+    sample_poses,
 )
 from affine12.errors import NonFiniteInputError, OutOfRangeError
 from affine12.expmap import exp_so3
@@ -402,6 +405,76 @@ class TestPreparedTrack:
         with pytest.raises(NonFiniteInputError, match="time span -1e[+]308 to 1e[+]308"):
             PoseTrack((p, p, p), (-1e308, 0.0, 1e308))
         PoseTrack((p, p), (-8e307, 8e307))
+
+
+def _sampled_rows(track, times, curve):
+    linear, translation = sample_poses(track, times, curve)
+    return np.dstack((linear, translation)).reshape(-1, 12).tolist()
+
+
+class TestSamplePoses:
+    @pytest.mark.parametrize("curve", CURVE_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 12])
+    def test_equals_interpolate_pose_bit_for_bit(self, rng, n, curve):
+        # knot times (endpoints among them), B-spline span ends and random times
+        track = _random_track(rng, n)
+        _, spline = _span_boundary_times(track)
+        t0, t1 = track.times[0], track.times[-1]
+        times = _sample_times(rng, track) + spline + [rng.uniform(t0, t1) for _ in range(200)]
+        rng.shuffle(times)
+        for t, row in zip(times, _sampled_rows(track, times, curve)):
+            assert _bits(row) == _bits(interpolate_pose(track, t, curve).to_rows())
+
+    def test_no_times_no_poses(self, rng):
+        linear, translation = sample_poses(_random_track(rng, 3), [], "bspline")
+        assert linear.shape == (0, 3, 3) and translation.shape == (0, 3)
+
+    @pytest.mark.parametrize("curve", CURVE_KINDS)
+    def test_lowest_time_out_of_range_is_named(self, rng, curve):
+        track = _random_track(rng, 4)
+        t0, t1 = track.times[0], track.times[-1]
+        for times, row, bad in (([t0, t1, math.nextafter(t1, math.inf), t0 - 1.0], 2,
+                                 math.nextafter(t1, math.inf)),
+                                ([t1, math.nan, t1 + 1.0], 1, math.nan),
+                                ([t0 - 1.0, math.inf], 0, t0 - 1.0)):
+            with pytest.raises(OutOfRangeError) as info:
+                sample_poses(track, times, curve)
+            with pytest.raises(OutOfRangeError) as scalar:
+                interpolate_pose(track, bad, curve)
+            assert str(info.value) == f"row {row}: {scalar.value}"
+            assert info.value.row == row
+            assert str(info.value.__cause__) == str(scalar.value)
+
+    def test_forward_map_error_is_the_batch_error(self):
+        # the linear stretch log reaches 800 at t = 1 only
+        zero = AffineParam12.zero()
+        big = AffineParam12.from_vector([0.0] * 6 + [800.0] + [0.0] * 5)
+        track = PoseTrack((zero, big), (0.0, 1.0))
+        with pytest.raises(OverflowError) as info:
+            sample_poses(track, [0.0, 0.5, 1.0, 1.0], "linear")
+        assert str(info.value) == "row 2: exp of leading eigenvalue 800.0 is not representable"
+        assert info.value.row == 2
+        assert isinstance(info.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("curve", CURVE_KINDS)
+    def test_not_finite_rows_come_out_as_the_scalar_ones(self, curve):
+        # knot differences of 2e308 overflow: no warning, no error, the
+        # samples not finite where interpolate_pose's are
+        knots = tuple(AffineParam12.from_vector([x] + [0.0] * 11) for x in (-1e308, 1e308, -1e308))
+        track = PoseTrack(knots, (0.0, 1.0, 2.0))
+        times = [0.0, 0.5, 1.0, 1.5, 2.0]
+        for t, row in zip(times, _sampled_rows(track, times, curve)):
+            want = interpolate_pose(track, t, curve).to_rows()
+            assert [math.isfinite(v) for v in row] == [math.isfinite(v) for v in want]
+            assert _bits(v for v in row if not math.isnan(v)) == _bits(
+                v for v in want if not math.isnan(v))
+
+    def test_bad_arguments(self, rng):
+        track = _random_track(rng, 3)
+        with pytest.raises(ValueError, match="unknown curve 'cubic'"):
+            sample_poses(track, [track.times[0]], "cubic")
+        with pytest.raises(ValueError, match=r"times: expected shape \(F,\), got \(1, 2\)"):
+            sample_poses(track, [list(track.times[:2])])
 
 
 @st.composite

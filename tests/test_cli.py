@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from affine12.cli import load_track, main
+from affine12.cli import _sample_times, load_track, main
 from affine12.errors import NotARotationError, NotOrientationPreservingError
 from affine12.linalg3 import MAT3_IDENTITY, Mat3, Vec3, gram, mat_mul, sym_eigenvalues
 from affine12.meshblend import TriMesh, load_obj, save_obj
@@ -422,6 +422,35 @@ class TestInterpCommand:
         assert main(["interp", str(track), "--samples", "193", "-o", str(out)]) == 0
         samples = read_doc(out)["transforms"]
         assert len(samples) == 193 and samples[-1]["matrix"] == moved
+
+    def test_wide_track_samples_spread_evenly(self, tmp_path):
+        # (t1 - t0) * i overflows from i = 2 on, which once piled the samples up at t1
+        track = tmp_path / "track.json"
+        out = tmp_path / "out.json"
+        moved = list(IDENTITY_ROWS)
+        moved[3] = 1.0
+        track.write_text(json.dumps({"knots": [{"time": 1e307, "matrix": IDENTITY_ROWS},
+                                               {"time": 1.7e308, "matrix": moved}]}))
+        assert main(["interp", str(track), "--samples", "5", "--curve", "linear",
+                     "-o", str(out)]) == 0
+        xs = [e["matrix"][3] for e in read_doc(out)["transforms"]]
+        assert len(xs) == 5 and all(abs(x - i / 4) <= 1e-15 for i, x in enumerate(xs))
+
+    def test_sample_times_scale_with_the_span(self):
+        # ordinary spans keep t0 + (t1 - t0) * i / (n - 1) bit for bit; on a
+        # span whose products overflow, the times are those of the track
+        # scaled down by 2^-16, scaled back up (both exact)
+        rng = random.Random(25)
+        for _ in range(2000):
+            t0 = rng.uniform(-1e3, 1e3)
+            t1 = t0 + 10.0 ** rng.uniform(-9.0, 4.0)
+            n = rng.randint(2, 300)
+            assert _sample_times(t0, t1, n) == [min(t0 + (t1 - t0) * i / (n - 1), t1)
+                                                for i in range(n)]
+        for t0, t1 in ((1e307, 1.7e308), (-1.7e308, -1e300), (-8e307, 9e307)):
+            for n in (3, 5, 193, 1000):
+                scaled = _sample_times(math.ldexp(t0, -16), math.ldexp(t1, -16), n)
+                assert _sample_times(t0, t1, n) == [math.ldexp(t, 16) for t in scaled]
 
     def test_boolean_time_rejected(self, tmp_path, capsys):
         track = tmp_path / "track.json"
@@ -855,6 +884,45 @@ class TestBatchConversion:
             assert main([command, str(src)]) == 2
             assert capsys.readouterr().err == (
                 f"error: {src}: transforms[0]: linear part has non-positive determinant (-1.0)\n")
+
+    # each a bad entry as JSON text and its message, {i} for its index
+    BAD_ENTRIES = {
+        "det": ('{"matrix": [-1,0,0,0,0,1,0,0,0,0,1,0]}',
+                "transforms[{i}]: linear part has non-positive determinant (-1.0)"),
+        "short": ('{"matrix": [1, 2, 3]}', "transforms[{i}].matrix must be a list of 12 numbers"),
+        "bool": ('{"param": [' + ",".join(["false"] * 12) + "]}",
+                 "transforms[{i}].param must be a list of 12 numbers"),
+        "huge": ('{"matrix": [1' + "0" * 400 + ",0,0,0,0,1,0,0,0,0,1,0]}",
+                 "transforms[{i}].matrix contains a non-finite number"),
+        "inf": ('{"param": [0,0,0,0,0,0,0,0,0,0,0,1e400]}',
+                "transforms[{i}].param contains a non-finite number"),
+        "field": ('{"rows": [1,0,0,0,0,1,0,0,0,0,1,0]}', "transforms[{i}] has unknown field 'rows'"),
+        "list": ("[1, 2]", "transforms[{i}] must be an object with exactly one of 'matrix'/'param'"),
+    }
+
+    @pytest.mark.parametrize("low", sorted(BAD_ENTRIES))
+    def test_lowest_bad_entry_wins_over_any_later_one(self, tmp_path, capsys, low):
+        # entry 1 has one fault and entries 2 and 3 another (a malformed entry
+        # before a det <= 0 one, a boolean before an integer beyond the double
+        # range, ...): entry 1 is named, with its own message
+        src = tmp_path / "in.json"
+        good = json.dumps({"matrix": IDENTITY_ROWS})
+        message = self.BAD_ENTRIES[low][1].format(i=1)
+        for high, (text, _) in self.BAD_ENTRIES.items():
+            src.write_text('{"transforms": [' + ", ".join(
+                [good, self.BAD_ENTRIES[low][0], text, text]) + "]}")
+            for command in ("param", "unparam"):
+                assert main([command, str(src)]) == 2, high
+                assert capsys.readouterr().err == f"error: {src}: {message}\n", high
+
+    def test_integer_literals_load_as_the_doubles_they_round_to(self, tmp_path, capsys):
+        # -0 is the integer 0, and 2^53 + 1 rounds to even
+        src = tmp_path / "in.json"
+        src.write_text('{"transforms": [{"param": [-0, 9007199254740993, 3, -7, 0, 0, '
+                       "0, 0, 0, 0, 0, 0]}]}")
+        assert main(["param", str(src)]) == 0
+        assert capsys.readouterr().out == _json_text(
+            {"transforms": [{"param": [0.0, 9007199254740992.0, 3.0, -7.0] + [0.0] * 8}]})
 
     def test_reference_and_rotation_errors_in_entry_order(self, tmp_path, capsys):
         # within an entry the reference angle is checked before the rotation

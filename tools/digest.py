@@ -3,24 +3,28 @@
     PYTHONPATH=src python tools/digest.py > digest.txt
 
 For seeds 5 and 23 it runs one cycle of each `perfbench.workloads` class
-(convert, animate, meshblend, cli_batch), takes the single-face forms
-`face_frame` of every rest face and `per_face_affine` of every (target,
-face) pair of the meshblend set (`faces`), round-trips the envelope inputs
-of the probe, and sends each of them through `affine12.batch` as a one-row
-batch, inverse map then forward map. Then the convert cycle's 10 000
-transforms go through both batch maps as one batch (`batch_cycle`, whose
-lines have the labels of the convert section's). Last, the same
-transforms get seeded branch references (multi-turn, log-uniform up to
-1e7 rad, gaps of exactly +pi and -pi, zero, and every thousandth one out of
-range: 1e17, inf, NaN or just above 1e7); their parameters go through
-the scalar `transform_to_params(ref=)` (`convert_refs`) and through the
-batch inverse map (`batch_refs`), called once over the cycle and once
-more past each row that raises. The two sections' lines after the
-section name must be equal. The first line is the
-`affine12.__file__` in use (PYTHONPATH decides it; without one, the
-checkout's `src`). Then each output is one line: its float values as
-`float.hex`, the SHA-256 of a CLI document followed by one line per
-document entry, or the error's type and message. So
+(convert, animate, meshblend, cli_batch), samples each animate track at
+all of the cycle's frame times in one `sample_poses` call
+(`sample_poses`, whose lines must equal the animate section's `frame i
+sample j` lines; an older library without it gets one ImportError line a
+seed), takes the single-face forms `face_frame` of every rest face and
+`per_face_affine` of every (target, face) pair of the meshblend set
+(`faces`), round-trips the envelope inputs of the probe, and sends each
+of them through `affine12.batch` as a one-row batch, inverse map then
+forward map. Then the convert cycle's 10 000 transforms go through both
+batch maps as one batch (`batch_cycle`, whose lines have the labels of
+the convert section's). Last, the same transforms get seeded branch
+references (multi-turn, log-uniform up to 1e7 rad, gaps of exactly +pi
+and -pi, zero, and every thousandth one out of range: 1e17, inf, NaN or
+just above 1e7); their parameters go through the scalar
+`transform_to_params(ref=)` (`convert_refs`) and through the batch
+inverse map (`batch_refs`), called once over the cycle and once more
+past each row that raises. The two sections' lines after the section
+name must be equal. The first line is the `affine12.__file__` in use
+(PYTHONPATH decides it; without one, the checkout's `src`). Then each
+output is one line: its float values as `float.hex`, the SHA-256 of a
+CLI document followed by one line per document entry, or the error's
+type and message. So
 
     diff <(PYTHONPATH=<other checkout>/src python tools/digest.py) \\
          <(PYTHONPATH=src python tools/digest.py)
@@ -97,6 +101,28 @@ def animate(seed: int):
         for j, s in enumerate(samples):
             yield f"frame {i} sample {j}", _hex(s.to_rows())
         yield f"frame {i} blend", _hex(pose.to_rows())
+
+
+def animate_batch(seed: int):
+    """The animate cycle's samples again, each track sampled at every frame
+    time in one sample_poses call, in the animate section's order."""
+    try:
+        from affine12 import sample_poses
+    except ImportError as exc:   # a library from before sample_poses
+        yield "import", _error(exc)
+        return
+    wl = Animate(seed)
+    times = [wl.time(i) for i in range(wl.cycle)]
+    rows = []
+    for j, (track, curve) in enumerate(zip(wl.tracks, wl.curves)):
+        try:
+            rows.append(np.dstack(sample_poses(track, times, curve)).reshape(-1, 12))
+        except Exception as exc:  # an output like any other
+            yield f"sample {j}", _error(exc)
+            return
+    for i in range(wl.cycle):
+        for j, r in enumerate(rows):
+            yield f"frame {i} sample {j}", _hex(r[i])
 
 
 def meshblend(seed: int):
@@ -267,6 +293,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="digest-") as workdir:
         for seed in SEEDS:
             for name, outputs in (("convert", convert(seed)), ("animate", animate(seed)),
+                                  ("sample_poses", animate_batch(seed)),
                                   ("meshblend", meshblend(seed)), ("faces", faces(seed)),
                                   ("cli_batch", cli_batch(seed, workdir)),
                                   ("envelope", envelope(seed)), ("batch", batch(seed)),
