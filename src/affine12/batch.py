@@ -364,7 +364,8 @@ def _nearest_branch(x: AntiSymMat3, ref: AntiSymMat3, ref_angle) -> AntiSymMat3:
     own_axis = theta > _AXIS_FLOOR
     inv = 1.0 / np.where(own_axis, theta, ref_angle)
     k12, k13, k23 = (np.where(own_axis, c, rc) * inv for c, rc in zip(x, ref))
-    theta = np.where(own_axis, theta, 0.0)
+    share = np.where(ref_angle > 0.0, (ref.m12 * x.m12 + ref.m13 * x.m13 + ref.m23 * x.m23) * inv, 0.0)
+    theta = np.where(own_axis, theta, share)
     target = np.where(k12 * ref.m12 + k13 * ref.m13 + k23 * ref.m23 >= 0.0, ref_angle, -ref_angle)
     gap = target - theta
     up, down = gap > math.pi, gap < -math.pi

@@ -37,8 +37,9 @@ from .linalg3 import (
 _ROTATION_TOL = 1e-6
 _TWO_PI = 2.0 * math.pi
 _MAX_REF_ANGLE = 1e7
-# principal angle below which a branch shift takes the reference's axis
-_AXIS_FLOOR = 1e-12
+# principal angle below which a branch shift takes the reference's axis; it
+# drops the part of the angle off that axis, sqrt(2) * 5e-13 < 1e-12 of R
+_AXIS_FLOOR = 5e-13
 
 
 def log_quad_coeff(x: float) -> float:
@@ -195,6 +196,8 @@ def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
     principal log. The target is the reference angle, negated if k . ref < 0;
     n is the fewest turns that bring t + 2 pi n within pi of it (0 at a gap of
     exactly pi). A half-turn keeps its own axis, so every branch reproduces R.
+    At t <= _AXIS_FLOOR (5e-13) the axis is noise: k is the reference's and t
+    the principal log's component along it.
     A reference angle beyond _MAX_REF_ANGLE (1e7 rad, where 2 pi n would cost
     the 1e-8 round trip), NaN or inf raises OutOfRangeError, before R is
     checked. affine12.batch holds the array twin of this rule.
@@ -209,10 +212,11 @@ def consistent_log_so3(r: Mat3, ref: AntiSymMat3) -> AntiSymMat3:
         k12, k13, k23 = principal.m12 * inv, principal.m13 * inv, principal.m23 * inv
     elif ref_angle > 0.0:
         # R is numerically the identity: any axis works, so follow the
-        # reference to keep whole turns on its axis
+        # reference to keep whole turns on its axis, with the principal
+        # angle's share along it
         inv = 1.0 / ref_angle
         k12, k13, k23 = ref.m12 * inv, ref.m13 * inv, ref.m23 * inv
-        theta = 0.0
+        theta = (ref.m12 * principal.m12 + ref.m13 * principal.m13 + ref.m23 * principal.m23) * inv
     else:
         return principal
     target = ref_angle if k12 * ref.m12 + k13 * ref.m13 + k23 * ref.m23 >= 0.0 else -ref_angle

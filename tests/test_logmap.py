@@ -362,7 +362,7 @@ class TestConsistentLog:
         # along the principal axis (the reference's for the identity), the
         # result lies within pi of the reference angle signed the same way
         principal = log_so3(rotation)
-        axis = principal if antisym_angle(principal) > 1e-12 else ref
+        axis = principal if antisym_angle(principal) > logmap._AXIS_FLOOR else ref
         norm = antisym_angle(axis)
         if norm == 0.0:
             assert out == principal

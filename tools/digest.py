@@ -64,6 +64,7 @@ from affine12 import (  # noqa: E402
     transform_to_params,
 )
 from affine12.batch import params_to_transforms, transforms_to_params  # noqa: E402
+from affine12.logmap import _AXIS_FLOOR  # noqa: E402
 from affine12.meshblend import face_frame, per_face_affine  # noqa: E402
 from perfbench import inputs  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
@@ -214,7 +215,7 @@ def _tie_reference(x, sign: float) -> list[float]:
     to x is sign * pi exactly as consistent_log_so3 measures it, if one of
     the 17 angles nearest pi + sign * t gives it; else that angle's."""
     theta = math.sqrt(sum(v * v for v in x))
-    if theta <= 1e-12:   # the branch axis is the reference's own
+    if theta <= _AXIS_FLOOR:   # the branch axis is the reference's own
         return [math.pi, 0.0, 0.0]
     k = [sign * v / theta for v in x]
     angles = [math.pi + sign * theta]
