@@ -11,12 +11,14 @@ column included, so the normal equations are generically full rank and
 the solved mesh is anchored in space.
 
 blend_shapes runs each stage over all faces at once, in NumPy: the face
-maps, one batched pull-back of every target face map (affine12.batch),
-the weighted sum, one batched forward map, a vectorised sparse assembly
-with the normal tips eliminated face by face, and a preconditioned
-conjugate gradient on the three coordinates together, warm-started at
-the linear blend of the vertex positions. That start is the answer for
-zero and one-hot weights, so those queries need no CG iteration.
+maps and one batched pull-back (affine12.batch) of the targets the query
+weights (a target at weight 0 adds nothing to the blend, so its face maps
+are not formed), the weighted sum, one batched forward map, a vectorised
+sparse assembly with the normal tips eliminated face by face, and a
+preconditioned conjugate gradient on the three coordinates together,
+warm-started at the linear blend of the vertex positions. That start is
+the answer for zero and one-hot weights, so those queries need no CG
+iteration. Every target is still checked as input, whatever its weight.
 
 The face map is written once, on corner coordinates: the same lines run
 on floats in the single-face forms face_frame and per_face_affine and on
@@ -190,14 +192,15 @@ def _face_map(target_frame: Mat3, rest_inverse: Mat3, p0, q0) -> tuple[Mat3, tup
 def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     """Blend the targets at the given weights into one consistent mesh.
 
-    Every face map of every target is pulled back to parameter space in one
-    batch, the weights combine them face by face, and the blends are mapped
-    forward in one batch. The patching least squares then finds the vertex
-    positions (and per-face normal tips) whose face maps match those blends
-    best. Zero weights reproduce the rest mesh and a one-hot weight vector
-    reproduces that target (up to solver tolerance), because in both cases
-    the blended face maps are already coherent and the least squares is
-    exactly consistent.
+    The face maps of every target with a non-zero weight are pulled back
+    to parameter space in one batch, the weights combine them face by face
+    over all targets (an unweighted target's rows are zeros), and the
+    blends are mapped forward in one batch. The patching least squares
+    then finds the vertex positions (and per-face normal tips) whose face
+    maps match those blends best. Zero weights reproduce the rest mesh
+    and a one-hot weight vector reproduces that target (up to solver
+    tolerance), because in both cases the blended face maps are already
+    coherent and the least squares is exactly consistent.
 
     The normal tips are eliminated face by face, and the normal equations
     left on the vertices are solved by conjugate gradients with a Jacobi
@@ -215,10 +218,11 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     vertex. Raises
     NonFiniteInputError for a NaN or infinite vertex or weight, and
     DegenerateTriangleError for a face area of at most 1e-12 extent^2;
-    both name the mesh (rest or target k) and the index. A face map that
-    transform_to_params cannot pull back raises its error named "target k
-    face j: ", and a blend that params_to_transform cannot map forward
-    raises its error named "face j: ".
+    both name the mesh (rest or target k) and the index, and hold for a
+    target at weight 0 too. A face map that transform_to_params cannot
+    pull back raises its error named "target k face j: " when target k's
+    weight is not 0 (at weight 0 it is not pulled back), and a blend that
+    params_to_transform cannot map forward raises its error named "face j: ".
     """
     if len(weights) != len(cset.targets):
         raise ValueError(f"{len(cset.targets)} targets but {len(weights)} weights")
@@ -240,11 +244,19 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     _check_areas(rest_tri[3], ["rest mesh"], unit)
     _check_areas(target_tri[3], [f"target {k}" for k in range(len(targets))], unit)
     frames_inv = _frame_inverse(*rest_tri)
-    linear, translation = _face_map(_frame(*target_tri), frames_inv, p[0], q[0])
-    with _named_rows(lambda i: f"target {i // nf} face {i % nf}"):
-        params = _transforms_to_params(np.stack(linear, axis=-1).reshape(-1, 3, 3),
-                                       np.stack(translation, axis=-1).reshape(-1, 3), _NUMPY)
-    blended = np.tensordot(w, params.reshape(len(w), nf, 12), axes=1)
+    # only the weighted targets are pulled back; the others keep zero rows,
+    # since a sum over the weighted targets alone would round differently
+    live = np.flatnonzero(w)
+    params = np.zeros((len(w), nf, 12))
+    if live.size:
+        e1, e2, n = ([c[live] for c in v] for v in target_tri[:3])
+        linear, translation = _face_map(_frame(e1, e2, n, target_tri[3][live]), frames_inv,
+                                        p[0], q[0][:, live])
+        with _named_rows(lambda i: f"target {live[i // nf]} face {i % nf}"):
+            params[live] = _transforms_to_params(
+                np.stack(linear, axis=-1).reshape(-1, 3, 3),
+                np.stack(translation, axis=-1).reshape(-1, 3), _NUMPY).reshape(len(live), nf, 12)
+    blended = np.tensordot(w, params, axes=1)
     with _named_rows(lambda j: f"face {j}"):
         maps = _params_to_transforms(blended, _NUMPY)
 
@@ -333,8 +345,8 @@ def _solve_vertices(coef: np.ndarray, rhs: np.ndarray, faces: np.ndarray,
     pairs, slot = np.unique(keys, return_inverse=True)
     vals = np.bincount(slot, weights=np.concatenate((reduced.ravel(), np.ones(len(unused)))))
     rows, cols = np.divmod(pairs, nv)
-    b = np.zeros((nv, 3))
-    np.add.at(b, faces, b_faces)
+    b = np.column_stack([np.bincount(faces.ravel(), weights=b_faces[..., c].ravel(), minlength=nv)
+                         for c in range(3)])
     b[unused] = rest[unused]
     x0 = start.copy()
     x0[unused] = rest[unused]

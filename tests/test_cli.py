@@ -582,6 +582,40 @@ class TestMeshblendCommand:
         assert main(["meshblend", str(rest_path), str(target_path),
                      "--weights", "0.5"]) == 3
 
+    @pytest.mark.parametrize("weights", ["0.5,0.5", "0,0.5"])
+    def test_squashed_target_with_a_weight_exits_2_naming_it(self, tmp_path, capsys, weights):
+        paths = self._squashed_set(tmp_path)
+        out = tmp_path / "out.obj"
+        assert main(["meshblend", *map(str, paths), "--weights", weights, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: target 1 face 0: ||R^T R - I||_F = 3.231e-05 exceeds 1e-06\n")
+        assert not out.exists()
+
+    def test_squashed_target_at_weight_0_is_left_out(self, tmp_path):
+        # a target at weight 0 is not pulled back, so its face maps cannot fail
+        from affine12.meshblend import CompatibleSet, blend_shapes
+
+        rest_path, stretched_path, squashed_path = self._squashed_set(tmp_path)
+        out = tmp_path / "out.obj"
+        assert main(["meshblend", str(rest_path), str(stretched_path), str(squashed_path),
+                     "--weights", "0.5,0", "-o", str(out)]) == 0
+        want = blend_shapes(CompatibleSet(load_obj(str(rest_path)),
+                                          [load_obj(str(stretched_path))]), [0.5])
+        assert load_obj(str(out)).vertices == want.vertices
+
+    @staticmethod
+    def _squashed_set(tmp_path):
+        # rest, a 1.1 stretch and a 1e-8 squash whose face maps have no
+        # orthogonal rotation factor (test_meshblend's pull-back error set)
+        from test_meshblend import grid_mesh
+
+        rest = grid_mesh(4, 4)
+        paths = [tmp_path / name for name in ("rest.obj", "stretched.obj", "squashed.obj")]
+        for path, (sx, sy) in zip(paths, [(1.0, 1.0), (1.1, 1.0), (1.0, 1e-8)]):
+            save_obj(str(path), TriMesh([Vec3(v.x * sx, v.y * sy, v.z) for v in rest.vertices],
+                                        list(rest.faces)))
+        return paths
+
 
 class TestBenchCommand:
     def test_smoke_csv(self, tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -556,6 +557,116 @@ class TestBlendShapes:
                 assert np.array_equal(got, want)
             else:
                 assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def seeded_targets(rest: TriMesh, seed: int, n: int = 3) -> list[TriMesh]:
+    """n targets, each a seeded near-identity affine map of the rest mesh
+    plus seeded noise of 0.03 on every vertex."""
+    rng = np.random.default_rng(seed)
+    v = np.array(rest.vertices)
+    targets = []
+    for _ in range(n):
+        out = (v @ (np.eye(3) + rng.uniform(-0.3, 0.3, (3, 3))).T + rng.uniform(-1.0, 1.0, 3)
+               + 0.03 * rng.standard_normal(v.shape))
+        targets.append(TriMesh([Vec3(*p) for p in out.tolist()], list(rest.faces)))
+    return targets
+
+
+MIXED_WEIGHTS = [(0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                 (0.0, 0.0, 1.0), (0.0, 0.0, -0.7), (0.5, 0.5, 0.0), (0.0, 0.3, 0.7),
+                 (1.4, 0.0, -0.4), (1.3, -0.6, 0.0)]
+
+
+class TestUnweightedTargets:
+    """A target at weight 0 adds nothing to the blend, so it is not pulled back."""
+
+    rest = warp_mesh(grid_mesh(5, 4))
+
+    @staticmethod
+    def _vertices(rest, targets, weights) -> np.ndarray:
+        return np.array(blend_shapes(CompatibleSet(rest, targets), weights).vertices)
+
+    @pytest.mark.parametrize("weights", MIXED_WEIGHTS)
+    def test_zero_weight_targets_do_not_reach_the_result(self, weights):
+        # other geometry in the zero-weight slots leaves every bit in place
+        targets = seeded_targets(self.rest, 5)
+        others = [t if x != 0.0 else o
+                  for t, o, x in zip(targets, seeded_targets(self.rest, 23), weights)]
+        assert np.array_equal(self._vertices(self.rest, others, weights),
+                              self._vertices(self.rest, targets, weights))
+
+    @pytest.mark.parametrize("weights", MIXED_WEIGHTS)
+    def test_equals_the_blend_without_the_zero_weight_targets(self, weights):
+        # with one weighted target the blend is one rounded product either
+        # way, so bit for bit; with two, the weighted sum over fewer targets
+        # may round differently, which the solve keeps within its tolerance
+        targets = seeded_targets(self.rest, 5)
+        live = [k for k, x in enumerate(weights) if x != 0.0]
+        got = self._vertices(self.rest, targets, weights)
+        want = self._vertices(self.rest, [targets[k] for k in live], [weights[k] for k in live])
+        if len(live) <= 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("weights", MIXED_WEIGHTS + [(0.2, 0.3, 0.5)])
+    def test_only_weighted_targets_are_pulled_back(self, monkeypatch, weights):
+        import affine12.meshblend
+        from affine12 import batch
+
+        pulled, pushed = [], []
+
+        def pull_back(linear, *args):
+            pulled.append(len(linear))
+            return batch._transforms_to_params(linear, *args)
+
+        def push(params, *args):
+            pushed.append(len(params))
+            return batch._params_to_transforms(params, *args)
+
+        monkeypatch.setattr(affine12.meshblend, "_transforms_to_params", pull_back)
+        monkeypatch.setattr(affine12.meshblend, "_params_to_transforms", push)
+        blend_shapes(CompatibleSet(self.rest, seeded_targets(self.rest, 5)), weights)
+        nf, live = len(self.rest.faces), sum(x != 0.0 for x in weights)
+        assert pulled == ([live * nf] if live else [])
+        assert pushed == [nf]
+
+    @staticmethod
+    def _squashed_set() -> tuple[TriMesh, list[TriMesh]]:
+        # the set of test_pull_back_error_names_the_target_and_face: target
+        # 1's 1e-8 squash leaves no orthogonal rotation factor in the pull-back
+        rest = grid_mesh(4, 4)
+        return rest, [TestBlendShapes._stretched(rest, 1.1, 1.0),
+                      TestBlendShapes._stretched(rest, 1.0, 1e-8)]
+
+    def test_unpullable_target_at_weight_0_is_left_out(self):
+        # declared behaviour change: its parameters would never reach the
+        # result, so the query no longer fails on them
+        rest, (stretched, squashed) = self._squashed_set()
+        got = blend_shapes(CompatibleSet(rest, [stretched, squashed]), [0.5, 0.0])
+        assert got.vertices == blend_shapes(CompatibleSet(rest, [stretched]), [0.5]).vertices
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.0, 0.5), (0.0, -1.0)])
+    def test_unpullable_target_with_a_weight_still_fails(self, weights):
+        rest, targets = self._squashed_set()
+        with pytest.raises(NotARotationError) as err:
+            blend_shapes(CompatibleSet(rest, targets), weights)
+        assert str(err.value) == "target 1 face 0: ||R^T R - I||_F = 3.231e-05 exceeds 1e-06"
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("flat", DegenerateTriangleError, "target 1 face 0: triangle area "),
+        ("nan", NonFiniteInputError, "target 1 vertex 4 is not finite"),
+    ])
+    def test_bad_input_at_weight_0_still_fails(self, fault, error, message):
+        rest = grid_mesh(2, 2)
+        if fault == "flat":
+            bad = [Vec3(v.x, 0.0, 0.0) for v in rest.vertices]
+        else:
+            bad = list(rest.vertices)
+            bad[4] = Vec3(0.5, math.nan, 0.0)
+        cset = CompatibleSet(rest, [warp_mesh(rest), TriMesh(bad, list(rest.faces))])
+        with pytest.raises(error, match=re.escape(message)):
+            blend_shapes(cset, [1.0, 0.0])
 
 
 class TestObjIO:

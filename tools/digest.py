@@ -3,8 +3,9 @@
     PYTHONPATH=src python tools/digest.py > digest.txt
 
 For seeds 5 and 23 it runs one cycle of each `perfbench.workloads` class
-(convert, animate, meshblend, cli_batch), samples each animate track at
-all of the cycle's frame times in one `sample_poses` call
+(convert, animate, meshblend, cli_batch), queries the meshblend set at
+four more weight vectors that mix zero and non-zero weights, samples each
+animate track at all of the cycle's frame times in one `sample_poses` call
 (`sample_poses`, whose lines must equal the animate section's `frame i
 sample j` lines; an older library without it gets one ImportError line a
 seed), takes the single-face forms `face_frame` of every rest face and
@@ -65,7 +66,7 @@ from affine12 import (  # noqa: E402
 )
 from affine12.batch import params_to_transforms, transforms_to_params  # noqa: E402
 from affine12.logmap import _AXIS_FLOOR  # noqa: E402
-from affine12.meshblend import face_frame, per_face_affine  # noqa: E402
+from affine12.meshblend import blend_shapes, face_frame, per_face_affine  # noqa: E402
 from perfbench import inputs  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     ENVELOPE_ITEMS,
@@ -126,15 +127,21 @@ def animate_batch(seed: int):
             yield f"frame {i} sample {j}", _hex(r[i])
 
 
+# meshblend weights beyond the workload's cycle, each with a zero weight
+MIXED_WEIGHTS = ((0.5, 0.5, 0.0), (0.0, 0.3, 0.7), (1.4, 0.0, -0.4), (0.0, -0.0, 0.0))
+
+
 def meshblend(seed: int):
     wl = Meshblend(seed)
-    for i in range(wl.cycle):
-        out = wl.op(i)
-        if isinstance(out, Exception):
-            yield f"query {i}", _error(out)
+    queries = [(f"query {i}", w) for i, w in enumerate(wl.weights)]
+    for label, w in queries + [(f"weights {w}", w) for w in MIXED_WEIGHTS]:
+        try:
+            out = blend_shapes(wl.cset, w)
+        except Exception as exc:  # an output like any other
+            yield label, _error(exc)
             continue
         for v, p in enumerate(out.vertices):
-            yield f"query {i} vertex {v}", _hex(p)
+            yield f"{label} vertex {v}", _hex(p)
 
 
 def faces(seed: int):
