@@ -14,11 +14,11 @@ blend_shapes runs each stage over all faces at once, in NumPy: the face
 maps and one batched pull-back (affine12.batch) of the targets the query
 weights (a target at weight 0 adds nothing to the blend, so its face maps
 are not formed), the weighted sum, one batched forward map, a vectorised
-sparse assembly with the normal tips eliminated face by face, and a
-preconditioned conjugate gradient on the three coordinates together,
-warm-started at the linear blend of the vertex positions. That start is
-the answer for zero and one-hot weights, so those queries need no CG
-iteration. Every target is still checked as input, whatever its weight.
+least squares with the normal tips eliminated face by face, and a test of
+the linear vertex blend's residual, face by face: only when a coordinate
+fails it is the sparse vertex system built and solved by preconditioned
+conjugate gradients (zero and one-hot weights pass, as that start is their
+answer). Every target is still checked as input, whatever its weight.
 
 The face map is written once, on corner coordinates: the same lines run
 on floats in the single-face forms face_frame and per_face_affine and on
@@ -206,10 +206,11 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     left on the vertices are solved by conjugate gradients with a Jacobi
     (diagonal) preconditioner, the three coordinates side by side and
     warm-started at the linear vertex blend rest + sum_k w_k (target_k -
-    rest), which meets the tolerance at once for zero and one-hot weights
-    (vertices no face references start at rest). A coordinate stops once
-    its residual reaches ||r|| <= 1e-10 ||b||; one still above that after
-    20 iterations per unknown raises SolverNotConvergedError.
+    rest) (vertices no face references start at rest). A coordinate stops
+    once its residual reaches ||r|| <= 1e-10 ||b||; one still above that
+    after 20 iterations per unknown raises SolverNotConvergedError. The
+    start is tested face by face, and the system is built only if a
+    coordinate fails there, which zero and one-hot weights never do.
 
     Lengths are divided by the largest coordinate extent of the rest
     vertices that some face uses (1 if it is 0), so a set scaled by 2^k
@@ -236,7 +237,8 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
                        dtype=float).reshape(len(cset.targets), nv, 3)
     faces = _face_array(cset.rest.faces, nv)
     nf = len(faces)
-    unit = (float(np.ptp(rest[faces].reshape(-1, 3), axis=0).max()) if nf else 0.0) or 1.0
+    used = np.bincount(faces.ravel(), minlength=nv) > 0
+    unit = (float(np.ptp(rest[used], axis=0).max()) if nf else 0.0) or 1.0
     rest, targets = rest / unit, targets / unit
 
     p, q = _corners(rest, faces), _corners(targets, faces)
@@ -263,7 +265,7 @@ def blend_shapes(cset: CompatibleSet, weights: Sequence[float]) -> TriMesh:
     coef, rhs = _face_residuals(rest, faces, np.stack(frames_inv, axis=-1).reshape(nf, 3, 3),
                                 *maps)
     start = rest + np.tensordot(w, targets - rest, axes=1)
-    solved = _solve_vertices(coef, rhs, faces, rest, start) * unit
+    solved = _solve_vertices(coef, rhs, faces, rest, start, np.flatnonzero(~used)) * unit
     return TriMesh([Vec3._make(v) for v in solved.tolist()], list(cset.rest.faces))
 
 
@@ -321,15 +323,15 @@ def _face_residuals(rest: np.ndarray, faces: np.ndarray, frames_inv: np.ndarray,
 
 
 def _solve_vertices(coef: np.ndarray, rhs: np.ndarray, faces: np.ndarray,
-                    rest: np.ndarray, start: np.ndarray) -> np.ndarray:
+                    rest: np.ndarray, start: np.ndarray, unused: np.ndarray) -> np.ndarray:
     """Deformed vertex positions minimising the patching energy.
 
     Each normal tip enters only its own face's rows, so its block of the
     normal equations is a scalar and the tips drop out face by face (a
     Schur complement), leaving one sparse system on the vertices that the
-    three coordinates share. The solve is warm-started at start (nv, 3).
-    Vertices no face references keep their rest position, whatever their
-    start.
+    three coordinates share, built only if a coordinate fails the start
+    test (run face by face) at start (nv, 3). The vertices in unused, which
+    no face references, keep their rest position, whatever their start.
     """
     nv = len(rest)
     m = np.einsum("fri,frj->fij", coef, coef)
@@ -337,23 +339,49 @@ def _solve_vertices(coef: np.ndarray, rhs: np.ndarray, faces: np.ndarray,
     elim = m[:, :3, 3] / m[:, 3, 3, None]
     reduced = m[:, :3, :3] - elim[:, :, None] * m[:, None, 3, :3]
     b_faces = mb[:, :3] - elim[:, :, None] * mb[:, None, 3]
-    unused = np.flatnonzero(np.bincount(faces.ravel(), minlength=nv) == 0)
-    # COO entries keyed row * nv + col (an unused vertex gets a unit
-    # diagonal), summed into one entry per vertex pair
+    b = _scatter(faces, b_faces, nv)
+    b[unused] = rest[unused]
+    x0 = start.copy()
+    x0[unused] = rest[unused]
+    x, met = _warm_start(reduced, b_faces, faces, b, x0)
+    if met.all():
+        return x
+    return _block_pcg(*_vertex_matrix(reduced, faces, unused, nv), b, x0)
+
+
+def _scatter(faces: np.ndarray, corner_rows: np.ndarray, nv: int) -> np.ndarray:
+    """Sum (nf, 3, 3) rows, one per face corner, into (nv, 3) vertex rows."""
+    return np.column_stack([np.bincount(faces.ravel(), weights=corner_rows[..., c].ravel(),
+                                        minlength=nv) for c in range(3)])
+
+
+def _warm_start(reduced: np.ndarray, b_faces: np.ndarray, faces: np.ndarray,
+                b: np.ndarray, x0: np.ndarray):
+    """_block_pcg's start x and, per coordinate, whether r = b - M x there,
+    summed face by face (0 on unused vertices), meets its tolerance."""
+    _, tol2, x = _start(b, x0)
+    r = _scatter(faces, b_faces - reduced @ np.take(x, faces, axis=0), len(b))
+    return x, np.vecdot(r, r, axis=0) <= tol2
+
+
+def _start(b: np.ndarray, x0: np.ndarray):
+    """Per coordinate b.b, the tolerance tol2 on r.r, and the start: x0, or 0 where tol2 is 0."""
+    bb = np.vecdot(b, b, axis=0)
+    tol2 = _CG_RTOL * _CG_RTOL * bb
+    return bb, tol2, np.where(tol2 > 0.0, x0, 0.0)
+
+
+def _vertex_matrix(reduced: np.ndarray, faces: np.ndarray, unused: np.ndarray, nv: int):
+    """x -> M x and M's diagonal, M summed from reduced (and 1 per unused vertex)."""
     keys = np.concatenate((np.repeat(faces, 3, axis=1).ravel() * nv + np.tile(faces, 3).ravel(),
                            unused * (nv + 1)))
     pairs, slot = np.unique(keys, return_inverse=True)
     vals = np.bincount(slot, weights=np.concatenate((reduced.ravel(), np.ones(len(unused)))))
     rows, cols = np.divmod(pairs, nv)
-    b = np.column_stack([np.bincount(faces.ravel(), weights=b_faces[..., c].ravel(), minlength=nv)
-                         for c in range(3)])
-    b[unused] = rest[unused]
-    x0 = start.copy()
-    x0[unused] = rest[unused]
     on_diag = rows == cols
     diag = np.zeros(nv)
     diag[rows[on_diag]] = vals[on_diag]
-    return _block_pcg(_coordinate_matmul(rows, cols, vals, nv), diag, b, x0)
+    return _coordinate_matmul(rows, cols, vals, nv), diag
 
 
 def _coordinate_matmul(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
@@ -383,9 +411,7 @@ def _block_pcg(matmul, diag: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.nd
     still above tolerance after 20 iterations per unknown, or whose search
     direction loses positive curvature, raises SolverNotConvergedError.
     """
-    bb = np.vecdot(b, b, axis=0)
-    tol2 = _CG_RTOL * _CG_RTOL * bb
-    x = np.where(tol2 > 0.0, x0, 0.0)
+    bb, tol2, x = _start(b, x0)
     d_inv = (1.0 / np.where(diag > 0.0, diag, 1.0))[:, None]
     r = b - matmul(x)
     z = d_inv * r

@@ -36,6 +36,9 @@ from affine12.meshblend import (
     _coordinate_matmul,
     _face_residuals,
     _solve_vertices,
+    _start,
+    _vertex_matrix,
+    _warm_start,
     blend_shapes,
     face_frame,
     load_obj,
@@ -45,6 +48,10 @@ from affine12.meshblend import (
 )
 from affine12.param import HomAffine3, transform_to_params
 from conftest import axis_angle_rotation, mat_dist, rand_unit_axis, sym_to_mat3, vec_dist
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench import inputs  # noqa: E402
+from perfbench.workloads import Meshblend  # noqa: E402
 
 TRI = (Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(0.2, 1.1, 0.0))
 
@@ -353,7 +360,7 @@ class TestBlendShapes:
                                     np.array([b.linear for b in blended]).reshape(nf, 3, 3),
                                     np.array([b.translation for b in blended]))
         solved = _solve_vertices(coef, rhs, faces, np.array(rest.vertices),
-                                 np.array(rest.vertices))
+                                 np.array(rest.vertices), np.array([], dtype=int))
         # each normal tip at its own optimum for the solved vertices
         tip_col = coef[:, :, 3]
         tips = np.einsum("fr,frk->fk", tip_col, rhs - coef[:, :, :3] @ solved[faces]) / (
@@ -491,8 +498,8 @@ class TestBlendShapes:
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     def test_coherent_queries_need_no_cg_iteration(self, monkeypatch, weights):
-        # zero and one-hot weights start the solve at the answer, so it
-        # stops after the product of the initial residual
+        # zero and one-hot weights start the solve at the answer, which the
+        # face-wise start test finds without building the vertex system
         import affine12.meshblend
 
         counts = []
@@ -510,7 +517,7 @@ class TestBlendShapes:
         rest = warp_mesh(grid_mesh(4, 4))
         blend_shapes(CompatibleSet(rest, [twist_mesh(rest), warp_mesh(twist_mesh(rest))]),
                      weights)
-        assert counts == [1]
+        assert counts == []
 
     def test_batch_maps_run_on_numpys_ufuncs(self, monkeypatch):
         # the libm table would add about a third to a query, so blend_shapes
@@ -667,6 +674,108 @@ class TestUnweightedTargets:
         cset = CompatibleSet(rest, [warp_mesh(rest), TriMesh(bad, list(rest.faces))])
         with pytest.raises(error, match=re.escape(message)):
             blend_shapes(cset, [1.0, 0.0])
+
+
+def in_plane_warp(mesh: TriMesh) -> TriMesh:
+    """warp_mesh without its lift: a planar mesh stays in its plane."""
+    return TriMesh([Vec3(w.x, w.y, v.z) for w, v in zip(warp_mesh(mesh).vertices, mesh.vertices)],
+                   list(mesh.faces))
+
+
+# the meshblend section of tools/digest.py: the workload's weights, then these
+DIGEST_WEIGHTS = [(0.5, 0.5, 0.0), (0.0, 0.3, 0.7), (1.4, 0.0, -0.4), (0.0, -0.0, 0.0)]
+
+
+class TestStartTest:
+    """The start residual is summed face by face, and the vertex matrix is
+    built only when a coordinate fails it."""
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        import affine12.meshblend
+
+        calls = []
+
+        def spy(*args):
+            calls.append((args, _warm_start(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(affine12.meshblend, "_warm_start", spy)
+        return calls
+
+    @staticmethod
+    def _assembled(reduced, b_faces, faces, b, x0):
+        # the start of _block_pcg, on the assembled vertex matrix (an unused
+        # vertex gets a unit row)
+        unused = np.setdiff1d(np.arange(len(b)), faces)
+        matmul, _ = _vertex_matrix(reduced, faces, unused, len(b))
+        _, tol2, x = _start(b, x0)
+        r = b - matmul(x)
+        return x, np.vecdot(r, r, axis=0) <= tol2
+
+    def _verdicts(self, monkeypatch, cset, weight_vectors) -> tuple[list, list]:
+        """Each query's face-wise and assembled verdicts, and the arguments
+        of its start test; both starts must be the same array."""
+        calls = self._record(monkeypatch)
+        for w in weight_vectors:
+            blend_shapes(cset, w)
+        verdicts = []
+        for args, (x, met) in calls:
+            want_x, want_met = self._assembled(*args)
+            assert np.array_equal(x, want_x)
+            verdicts.append((met.tolist(), want_met.tolist()))
+        assert len(verdicts) == len(weight_vectors)
+        return verdicts, [args for args, _ in calls]
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_face_wise_verdict_is_the_assembled_one_on_the_meshblend_sets(
+            self, monkeypatch, seed):
+        weights = inputs.weight_sequence(seed, 3) + DIGEST_WEIGHTS
+        verdicts, _ = self._verdicts(monkeypatch, Meshblend(seed).cset, weights)
+        for face_wise, assembled in verdicts:
+            assert face_wise == assembled
+        # zero and one-hot queries pass, the others fail in every coordinate
+        assert [all(v) for v, _ in verdicts] == [
+            sum(x != 0.0 for x in w) <= 1 and set(w) <= {0.0, 1.0} for w in weights]
+        assert all(not any(v) for v, _ in verdicts if not all(v))
+
+    def test_face_wise_verdict_is_the_assembled_one_with_a_loose_vertex(self, monkeypatch):
+        rest = grid_mesh(2, 2)
+        rest = TriMesh(list(rest.vertices) + [Vec3(7.0, 8.0, 9.0)], list(rest.faces))
+        cset = CompatibleSet(rest, [warp_mesh(rest), twist_mesh(rest)])
+        verdicts, _ = self._verdicts(monkeypatch, cset, [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+        assert verdicts == [([True] * 3,) * 2, ([True] * 3,) * 2, ([False] * 3,) * 2]
+
+    def test_face_wise_verdict_is_the_assembled_one_where_b_is_zero(self, monkeypatch):
+        # a planar set keeps z = 0: its b column is zero, so tol2 is 0 and
+        # the start is the zero column, met exactly
+        rest = grid_mesh(4, 4)
+        verdicts, calls = self._verdicts(monkeypatch, CompatibleSet(rest, [in_plane_warp(rest)]),
+                                         [[0.0], [1.0], [0.5]])
+        assert all(not b[:, 2].any() for *_, b, _ in calls)
+        for face_wise, assembled in verdicts:
+            assert face_wise == assembled
+        assert [v for v, _ in verdicts] == [[True] * 3, [True] * 3, [False, False, True]]
+        # the start's column of a zero b is 0 whatever x0 holds there
+        for *blocks, b, x0 in calls:
+            x0 = x0 + [0.0, 0.0, 1.0]
+            x, met = _warm_start(*blocks, b, x0)
+            want_x, want_met = self._assembled(*blocks, b, x0)
+            assert np.array_equal(x, want_x) and not x[:, 2].any()
+            assert met.tolist() == want_met.tolist() and met[2]
+
+    def test_a_failing_coordinate_runs_the_assembled_pcg_bit_for_bit(self, monkeypatch):
+        # z passes and x, y fail: the answer is _block_pcg's on the
+        # assembled system from the same start, with z at 0
+        rest = grid_mesh(4, 4)
+        calls = self._record(monkeypatch)
+        got = np.array(blend_shapes(CompatibleSet(rest, [in_plane_warp(rest)]), [0.5]).vertices)
+        [((reduced, b_faces, faces, b, x0), (_, met))] = calls
+        assert met.tolist() == [False, False, True]
+        want = _block_pcg(*_vertex_matrix(reduced, faces, np.array([], dtype=int), len(b)),
+                          b, x0)
+        assert np.array_equal(got, want)  # the grid's extent is 1, so is the unit
+        assert not got[:, 2].any()
 
 
 class TestObjIO:
